@@ -4,9 +4,10 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a checkout; cycover is imported from its ``src``.
-With ``--trace 0`` the benchmark sends whole rounds of point-checks, one at
-a time (a closed loop with one client), until they have taken at least
-``--seconds`` seconds, and prints the end-to-end metrics.  With
+With ``--trace 0`` the benchmark sends one untimed warm-up point-check, then
+whole rounds of point-checks, one at a time (a closed loop with one client),
+for as many rounds as fit in ``--seconds`` seconds of point-check time (at
+least one), and prints the end-to-end metrics.  With
 ``--trace 1`` it runs the workload's fixed trace rounds twice, untraced and
 traced, and prints self time and counts per point-check for each layer.
 Either way every output is checked, and the last line of standard output
@@ -140,9 +141,16 @@ def send(request):
 def timed(workload, seed: int, seconds: float):
     requests = setup(workload, seed)
     setup_samples = time_setup(workload, seed)
-    durations, busy, attempted, failed, found = [], 0.0, 0, 0, []
+    rounds, busy, attempted, failed, found = [], 0.0, 0, 0, []
+
+    warmup = workloads.warmup_request(workload, seed)
+    workloads.prepare(warmup)
+    bad, problems = outcome(warmup, send(warmup))
+    found += ["warm-up point-check failed"] if bad else [f"warm-up: {p}" for p in problems]
+
     round_index = 0
     while True:
+        durations = []
         for request in requests:
             start = time.perf_counter()
             sent = send(request)
@@ -155,19 +163,31 @@ def timed(workload, seed: int, seconds: float):
                 continue
             durations.append(elapsed)
             found += [f"round {round_index}: {p}" for p in problems]
+        rounds.append(durations)
         round_index += 1
-        if busy >= seconds:
+        # Stop before a round that would take the point-check time past
+        # ``seconds``, so that a run's length does not follow the host's
+        # speed: a (6,5,2,2) round alone takes about 25 s.
+        if busy + busy / round_index > seconds:
             break
         requests = prepare(workload, seed, round_index)
+    # The median is taken over rounds of their mean point-check time.  A
+    # workhorse round mixes 3 off- and 2 on-branch points, and the median of
+    # single point-checks would fall in the upper tail of the off-branch
+    # group, which spread 17% between runs against 11% for this one.
+    completed = [d for d in rounds if d]
     metrics = {
-        "point_checks_per_s": (len(durations) / busy, "1/s"),
-        "point_check_p50_s": (statistics.median(durations) if durations else busy, "s"),
+        "point_checks_per_s": (sum(map(len, rounds)) / busy, "1/s"),
+        "point_check_p50_s": (
+            statistics.median(map(statistics.fmean, completed)) if completed else busy,
+            "s",
+        ),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         "setup_s": (statistics.median(setup_samples), "s"),
     }
     detail = {
         "rounds": round_index,
-        "durations_s": durations,
+        "durations_s": rounds,
         "setup_samples_s": setup_samples,
     }
     return attempted, failed, found, metrics, detail
