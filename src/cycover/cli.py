@@ -81,7 +81,6 @@ from .poly import QQ, PrimeField, random_homogeneous, ring_over
 from .regseq import (
     CERTIFIED_REGULAR,
     DEFAULT_PAIR_BUDGET,
-    INCONCLUSIVE,
     REFUTED_AT_PREFIX,
 )
 from .report import (
@@ -134,7 +133,6 @@ _VERDICT_EXIT = {
 _REGULARITY_VERDICT = {
     CERTIFIED_REGULAR: VERDICT_CERTIFIED,
     REFUTED_AT_PREFIX: VERDICT_REFUTED,
-    INCONCLUSIVE: VERDICT_INCONCLUSIVE,
 }
 
 BRANCH_OFF = "off"
@@ -155,16 +153,14 @@ class CheckOptions:
     ``arc_order`` of None means each check uses the default truncation
     order for its highest threshold.  ``cut_trials`` is the number of
     independent random linear-cut draws per regularity prefix before a
-    failure is reported; ``gb_budget`` caps the pair workload of each
-    Groebner run inside the regularity certificate.
+    failure is reported; ``gb_budget`` caps the pair workload of the
+    Groebner run that annotates a refuted prefix with its local dimension.
     """
 
     arc_count: int = 5
     arc_order: Optional[int] = None
     cut_trials: int = 5
     gb_budget: int = DEFAULT_PAIR_BUDGET
-    sample_budget_off: int = 64
-    sample_budget_on: int = 32
 
     def __post_init__(self):
         if self.arc_count < 1:
@@ -175,8 +171,6 @@ class CheckOptions:
             raise ValueError("cut trials must be at least 1")
         if self.gb_budget < 1:
             raise ValueError("Groebner budget must be positive")
-        if self.sample_budget_off < 1 or self.sample_budget_on < 1:
-            raise ValueError("sampling budgets must be positive")
 
 
 @dataclass(frozen=True)
@@ -361,11 +355,21 @@ def check_point(
     else:
         levels = list(admissible_hypertangent_levels(family))
         order = options.arc_order or default_arc_order(levels[-1])
-    arcs = []
-    for arc_index in range(options.arc_count):
-        arc_seed = derive_seed(seed, trial=arc_index, purpose=PURPOSE_ARC)
-        arcs.append(arc_through_chart_origin(chart, arc_seed, order))
     record["arc_order"] = order
+    try:
+        arcs = [
+            arc_through_chart_origin(
+                chart, derive_seed(seed, trial=arc_index, purpose=PURPOSE_ARC), order
+            )
+            for arc_index in range(options.arc_count)
+        ]
+    except SampleBudgetError as error:
+        # e.g. over Q on the branch locus, where an arc needs an exact
+        # rational K-th root of a random constant.
+        record["reason"] = str(error)
+        record["verdict"] = worst_verdict(verdicts + [VERDICT_INCONCLUSIVE])
+        record["seconds"] = time.perf_counter() - start
+        return record
 
     if chart.on_branch:
         for level in range(1, family.cover_degree):
@@ -520,16 +524,14 @@ def run_certify(
         )
 
     samplers = (
-        (BRANCH_OFF, options.points_off, PURPOSE_POINT_OFF, sample_point_off_branch,
-         options.checks.sample_budget_off),
-        (BRANCH_ON, options.points_on, PURPOSE_POINT_ON, sample_point_on_branch,
-         options.checks.sample_budget_on),
+        (BRANCH_OFF, options.points_off, PURPOSE_POINT_OFF, sample_point_off_branch),
+        (BRANCH_ON, options.points_on, PURPOSE_POINT_ON, sample_point_on_branch),
     )
-    for side, count, purpose, sampler, budget in samplers:
+    for side, count, purpose, sampler in samplers:
         for index in range(count):
             point_seed = derive_seed(master_seed, point=index, purpose=purpose)
             try:
-                point = sampler(instance, point_seed, budget=budget)
+                point = sampler(instance, point_seed)
             except SampleBudgetError as error:
                 report.add_record(
                     {
@@ -588,13 +590,10 @@ def _campaign_task(payload: tuple) -> Dict[str, Any]:
     sampler = (
         sample_point_off_branch if side == BRANCH_OFF else sample_point_on_branch
     )
-    budget = (
-        checks.sample_budget_off if side == BRANCH_OFF else checks.sample_budget_on
-    )
     point_seed = derive_seed(master_seed, trial=trial, point=index, purpose=purpose)
     seeds = {"instance": instance_seed, "point": point_seed}
     try:
-        point = sampler(instance, point_seed, budget=budget)
+        point = sampler(instance, point_seed)
     except SampleBudgetError as error:
         return {
             "kind": "sampling-failure",
@@ -623,8 +622,6 @@ def _checks_tuple(checks: CheckOptions) -> tuple:
         checks.arc_order,
         checks.cut_trials,
         checks.gb_budget,
-        checks.sample_budget_off,
-        checks.sample_budget_on,
     )
 
 
@@ -774,7 +771,7 @@ def _bound_record(certificate) -> Dict[str, Any]:
 def _bound_verdict_for_case(certificate) -> str:
     # The off-branch chain must land strictly below the threshold; the
     # ramified chain is an identity and must land exactly on it.
-    from .chain import ABOVE, EQUAL, STRICTLY_BELOW
+    from .chain import EQUAL, STRICTLY_BELOW
 
     if certificate.case_tag == "MainCase":
         expected, flagged = STRICTLY_BELOW, EQUAL
@@ -1066,7 +1063,8 @@ def _add_check_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--gb-budget", type=int, default=DEFAULT_PAIR_BUDGET,
-        help="pair budget per Groebner run inside regularity checks",
+        help="pair budget for the Groebner run that reports the local "
+        "dimension of a refuted regularity prefix",
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .family import CoverFamily, FamilyConstraintError, validate_family
 from .modular import (
@@ -39,7 +39,6 @@ from .poly import (
     PolyRing,
     PrimeField,
     QQ,
-    homogeneous_component,
     homogeneous_components,
     poly_eval,
     random_homogeneous,
@@ -286,8 +285,6 @@ class ChartLocalization:
     on_branch        -- whether the branch form vanishes at the point
     branch_scale     -- original value of the branch form at the point (the
                         scalar divided out off the branch; zero on it)
-    root_normalizer  -- a scalar K-th root of branch_scale when one exists in
-                        the coefficient domain, else None
     """
 
     instance: CoverInstance
@@ -300,7 +297,6 @@ class ChartLocalization:
     branch_pieces: tuple
     on_branch: bool
     branch_scale: object
-    root_normalizer: object
 
     def __post_init__(self):
         fam = self.instance.family
@@ -368,8 +364,7 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
     pivot coordinate is 1, the forms are dehomogenized on the chart and
     translated, and the results are split into graded pieces.  Off the branch
     locus the localized branch form is rescaled to take the value 1 at the
-    origin, and a scalar K-th root of the divided-out value is recorded when
-    the coefficient domain contains one.
+    origin.
     """
     branch_form = instance.require_plain("chart localization")
     fam = instance.family
@@ -411,10 +406,8 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
 
     branch_scale = localized_branch.constant_coefficient()
     on_branch = domain.is_zero(branch_scale)
-    root = None
     if not on_branch:
         localized_branch = localized_branch.scale(domain.inv(branch_scale))
-        root = _scalar_kth_root(domain, branch_scale, fam.cover_degree)
     branch_parts = homogeneous_components(localized_branch)
     branch_pieces = tuple(
         branch_parts.get(j, zring.zero()) for j in range(fam.branch_degree + 1)
@@ -430,7 +423,6 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
         branch_pieces=branch_pieces,
         on_branch=on_branch,
         branch_scale=branch_scale,
-        root_normalizer=root,
     )
 
 
@@ -540,6 +532,7 @@ def regularity_sequence(chart: ChartLocalization) -> RegularityCase:
     root pieces of the branch form, which ones depending on whether the base
     degree stays within the branch degree (R1a) or exceeds it (R1b).  On the
     branch locus: q_1..q_m together with the first K branch pieces (R2).
+    A case with more members than chart variables is refused as unsupported.
     """
     if chart.instance.is_generalized:
         raise UnsupportedInstanceError(
@@ -556,18 +549,26 @@ def regularity_sequence(chart: ChartLocalization) -> RegularityCase:
     K = fam.cover_degree
     D = fam.branch_degree
     if chart.on_branch:
+        tag = ON_BRANCH_CASE
         members = chart.base_pieces + tuple(
             chart.branch_piece(j) for j in range(1, K + 1)
         )
-        return RegularityCase(tag=ON_BRANCH_CASE, chart=chart, members=members)
-    root_input = list(chart.branch_pieces[1:])
-    if m <= D:
-        phis = phi_polynomials(root_input, K, D - 1)
+    elif m <= D:
+        tag = OFF_BRANCH_CASE_LOW
+        phis = phi_polynomials(list(chart.branch_pieces[1:]), K, D - 1)
         members = chart.base_pieces + tuple(phis[l : D - 1])
-        return RegularityCase(tag=OFF_BRANCH_CASE_LOW, chart=chart, members=members)
-    phis = phi_polynomials(root_input, K, D)
-    members = chart.base_pieces[: m - 1] + tuple(phis[l:D])
-    return RegularityCase(tag=OFF_BRANCH_CASE_HIGH, chart=chart, members=members)
+    else:
+        tag = OFF_BRANCH_CASE_HIGH
+        phis = phi_polynomials(list(chart.branch_pieces[1:]), K, D)
+        members = chart.base_pieces[: m - 1] + tuple(phis[l:D])
+    if len(members) > chart.ring.nvars:
+        # e.g. branch weight 1 on the branch locus: m + K = dimension + 2
+        # members in dimension + 1 chart variables.
+        raise UnsupportedInstanceError(
+            f"case {tag} has {len(members)} members in {chart.ring.nvars} "
+            f"chart variables, so it cannot be a regular sequence"
+        )
+    return RegularityCase(tag=tag, chart=chart, members=members)
 
 
 def verify_regularity(
@@ -578,11 +579,7 @@ def verify_regularity(
 ) -> RegularityVerdict:
     """Run the origin-regularity verifier on the case's member sequence."""
     return regular_at_origin(
-        list(case.members),
-        n=case.ring.nvars,
-        trials=trials,
-        seed=seed,
-        budget=budget,
+        list(case.members), trials=trials, seed=seed, budget=budget
     )
 
 

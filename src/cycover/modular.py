@@ -38,14 +38,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    candidate = max(2, n)
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
-
-
 DEFAULT_PRIME_FLOOR = 1_000_003
 
 
@@ -64,58 +56,6 @@ def working_prime(cover_deg: int, floor: int = DEFAULT_PRIME_FLOOR) -> int:
     return candidate
 
 
-def factorize(n: int) -> dict:
-    """Prime factorization by trial division (intended for n up to ~1e12)."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    factors: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def primitive_root(p: int) -> int:
-    """Least primitive root modulo a prime p."""
-    if p == 2:
-        return 1
-    prime_divisors = list(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
-            return g
-    raise ArithmeticError(f"no primitive root found mod {p}")
-
-
-def discrete_log(base: int, target: int, p: int) -> int:
-    """x with base^x = target (mod p), by baby-step giant-step.
-
-    Assumes base generates the full multiplicative group (order p-1).
-    """
-    base %= p
-    target %= p
-    if target == 0:
-        raise ValueError("discrete log of zero")
-    order = p - 1
-    step = int(order**0.5) + 1
-    baby = {}
-    value = 1
-    for j in range(step):
-        baby.setdefault(value, j)
-        value = value * base % p
-    giant = pow(base, (p - 1 - step) % (p - 1), p)  # base^(-step)
-    gamma = target
-    for i in range(step + 1):
-        if gamma in baby:
-            return (i * step + baby[gamma]) % order
-        gamma = gamma * giant % p
-    raise ArithmeticError("discrete log not found; base is not a generator")
-
-
 def is_kth_power_residue(a: int, k: int, p: int) -> bool:
     """Whether a is a nonzero k-th power mod p; requires p = 1 (mod k)."""
     a %= p
@@ -125,23 +65,17 @@ def is_kth_power_residue(a: int, k: int, p: int) -> bool:
 
 
 def kth_root_mod(a: int, k: int, p: int) -> Optional[int]:
-    """One k-th root of a mod p, or None if a is not a k-th power residue.
+    """The least k-th root of a mod p, or None if a is not a k-th power.
 
-    Requires p = 1 (mod k).  The root returned is g^(L/k) for the least
-    primitive root g and L the discrete log of a, so it is deterministic.
+    Requires p = 1 (mod k).  The root is the least root of X^k - a in F_p.
     """
     if p % k != 1:
         raise ValueError(f"prime {p} is not 1 mod {k}")
     a %= p
     if a == 0:
         return 0
-    if not is_kth_power_residue(a, k, p):
-        return None
-    g = primitive_root(p)
-    log = discrete_log(g, a, p)
-    if log % k != 0:
-        return None
-    return pow(g, log // k, p)
+    roots = poly1_roots([p - a] + [0] * (k - 1) + [1], p)
+    return roots[0] if roots else None
 
 
 # -- univariate polynomials over F_p (ascending coefficient lists) ------------

@@ -446,30 +446,3 @@ def parse_instance_file(text: str) -> InstanceDocument:
 def read_instance_path(path: str) -> InstanceDocument:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_instance_file(handle.read())
-
-
-def default_instance_text(instance: CoverInstance, seed: Optional[int] = None) -> str:
-    """Render an instance back into the file format (used by the tooling)."""
-    family = instance.family
-    lines = [
-        f"M = {family.dimension}",
-        f"m = {family.base_degree}",
-        f"l = {family.branch_weight}",
-        f"K = {family.cover_degree}",
-    ]
-    domain = instance.domain
-    if isinstance(domain, PrimeField):
-        lines.append(f"prime = {domain.p}")
-    if seed is not None:
-        lines.append(f"seed = {seed}")
-    default_names = tuple(f"x{i}" for i in range(family.ambient_variable_count))
-    if instance.ring.variables != default_names:
-        lines.append("vars = " + " ".join(instance.ring.variables))
-    lines.append(f"f = {instance.base_form.text()}")
-    if instance.branch_form is not None:
-        lines.append(f"g = {instance.branch_form.text()}")
-    else:
-        for index, form in enumerate(instance.generalized_forms, start=1):
-            if not form.is_zero():
-                lines.append(f"g{index} = {form.text()}")
-    return "\n".join(lines) + "\n"

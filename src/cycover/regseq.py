@@ -8,25 +8,23 @@ prefix is certified when the origin is an isolated point of the resulting
 zero set.  Isolation is a sound proof (no probabilistic element), while a
 refutation after several independent cut draws is Monte-Carlo evidence.
 
-Two isolation routes:
+Isolation is certified for homogeneous sequences, the only kind the
+pipeline builds (every regularity sequence consists of graded pieces):
+independent linear elements of the ideal are eliminated by substitution,
+and isolation is equivalent to a single Macaulay-matrix full-rank check in
+the top relevant degree — with exactly as many generators as variables,
+the quotient is a complete intersection, whose Hilbert function provably
+vanishes first at cap = sum(deg_j - 1) + 1, making the rank test an exact
+decision.  Non-homogeneous sequences are rejected.
 
-* homogeneous inputs (the pipeline's case): independent linear elements of
-  the ideal are eliminated by substitution, and isolation is equivalent to
-  a single Macaulay-matrix full-rank check in the top relevant degree —
-  with exactly as many generators as variables, the quotient is a complete
-  intersection, whose Hilbert function provably vanishes first at
-  cap = sum(deg_j - 1) + 1, making the rank test an exact decision;
-* general inputs: literal saturation at the origin by iterated ideal
-  quotient, entirely via Buchberger completion.
-
-All Buchberger work is metered by a pair-reduction budget; exceeding it
-raises, and the certifier converts that into an Inconclusive verdict
-rather than guessing.
+Buchberger completion only annotates a refuted prefix with the dimension
+of its zero set.  That work is metered by a pair-reduction budget; when the
+budget runs out the dimension is reported as unknown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -38,7 +36,6 @@ from .poly import (
     Polynomial,
     PolyRing,
     PrimeField,
-    Rationals,
     monomials_of_degree,
     poly_mul,
     ring_over,
@@ -49,7 +46,6 @@ DEFAULT_PAIR_BUDGET = 200_000
 # Rank over Q is certified from below by ranking mod this prime: specializing
 # can only lower rank, so a full rank mod p proves full rank over Q.
 RANK_CHECK_PRIME = 2_147_483_629
-_ELIMINATION_WEIGHT = 1 << 30
 MONOMIAL_ORDER_TAG = "grevlex"
 
 
@@ -225,34 +221,6 @@ def groebner_basis(
     return GroebnerBasis(ring, tuple(reduced))
 
 
-def is_groebner_basis(gb: GroebnerBasis) -> bool:
-    """Every S-polynomial of basis pairs reduces to zero."""
-    basis = list(gb.basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not normal_form(_s_polynomial(basis[i], basis[j]), basis).is_zero():
-                return False
-    return True
-
-
-def ideal_contains(
-    I: IdealPresentation, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET
-) -> bool:
-    gb = groebner_basis(I, budget, "membership test")
-    if not gb.basis:
-        return f.is_zero()
-    return normal_form(f, gb.basis).is_zero()
-
-
-def ideal_equal(
-    I: IdealPresentation, J: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET
-) -> bool:
-    return (
-        groebner_basis(I, budget, "equality test").basis
-        == groebner_basis(J, budget, "equality test").basis
-    )
-
-
 # -- dimension -----------------------------------------------------------------
 
 
@@ -279,129 +247,22 @@ def ideal_dimension(I: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> 
     return 0
 
 
-# -- intersections, quotients, saturation --------------------------------------
-
-
-def _exact_divide(h: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient h / f when f divides h exactly."""
-    ring = h.ring
-    domain = ring.domain
-    quotient: dict = {}
-    work = h
-    fe, fc = f.leading()
-    while not work.is_zero():
-        he, hc = work.leading()
-        shift = tuple(b - a for a, b in zip(fe, he))
-        if any(s < 0 for s in shift):
-            raise ArithmeticError("exact division failed: not a multiple")
-        q = domain.div(hc, fc)
-        quotient[shift] = q
-        work = work - poly_mul(Polynomial(ring, {shift: q}), f)
-    return Polynomial(ring, quotient)
-
-
-def ideal_intersection(
-    I: IdealPresentation, J: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET
-) -> IdealPresentation:
-    """I ∩ J by the tag-variable trick with an elimination order.
-
-    In k[t, z..] with t heaviest (so any monomial containing t beats any
-    monomial without), I ∩ J = (t·I + (1−t)·J) ∩ k[z..], read off from the
-    members of the reduced basis free of t.
-    """
-    ring = I.ring
-    if J.ring != ring:
-        raise ValueError("intersection across rings")
-    tagged = ring_over(
-        ("@t",) + ring.variables,
-        ring.domain,
-        (_ELIMINATION_WEIGHT,) + ring.weights,
-    )
-
-    def lift(p: Polynomial, t_exp: int) -> Polynomial:
-        return Polynomial(tagged, {(t_exp,) + e: c for e, c in p.terms.items()})
-
-    t = tagged.gen(0)
-    one = tagged.one()
-    gens = [poly_mul(t, lift(g, 0)) for g in I.generators]
-    gens += [poly_mul(one - t, lift(g, 0)) for g in J.generators]
-    gb = groebner_basis(IdealPresentation(tagged, tuple(gens)), budget, "intersection")
-    kept = []
-    for p in gb.basis:
-        if p.leading()[0][0] == 0:  # elimination order: no t anywhere in p
-            kept.append(Polynomial(ring, {e[1:]: c for e, c in p.terms.items()}))
-    return IdealPresentation(ring, tuple(kept))
-
-
-def ideal_quotient_by(
-    J: IdealPresentation, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET
-) -> IdealPresentation:
-    """(J : f) = (J ∩ (f)) / f for a single nonzero f."""
-    if f.is_zero():
-        raise ValueError("quotient by zero")
-    meet = ideal_intersection(J, IdealPresentation(J.ring, (f,)), budget)
-    return IdealPresentation(J.ring, tuple(_exact_divide(h, f) for h in meet.generators))
-
-
-def _quotient_by_origin_ideal(
-    J: IdealPresentation, budget: int
-) -> IdealPresentation:
-    """(J : m) for the maximal ideal m of the origin: meet of (J : z_i)."""
-    ring = J.ring
-    result: Optional[IdealPresentation] = None
-    for i in range(ring.nvars):
-        partial = ideal_quotient_by(J, ring.gen(i), budget)
-        result = partial if result is None else ideal_intersection(result, partial, budget)
-    assert result is not None
-    return result
-
-
-def saturate_at_origin(
-    J: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET
-) -> IdealPresentation:
-    """(J : m^∞): strips the primary components supported at the origin.
-
-    Iterates the single quotient until it stabilizes; stabilization is
-    detected on canonical reduced bases.  Requires every generator to
-    vanish at the origin (the ideal cuts a set through it).
-    """
-    ring = J.ring
-    for g in J.generators:
-        if not ring.domain.is_zero(g.constant_coefficient()):
-            raise ValueError("saturation expects generators vanishing at the origin")
-    current = IdealPresentation(
-        ring, groebner_basis(J, budget, "saturation").basis
-    )
-    while True:
-        step = _quotient_by_origin_ideal(current, budget)
-        canonical = IdealPresentation(
-            ring, groebner_basis(step, budget, "saturation").basis
-        )
-        if canonical.generators == current.generators:
-            return current
-        current = canonical
-
-
 # -- regularity certification ---------------------------------------------------
 
 
 CERTIFIED_REGULAR = "CertifiedRegular"
 REFUTED_AT_PREFIX = "RefutedAtPrefix"
-INCONCLUSIVE = "Inconclusive"
-
-METHOD_RANK = "linear-elimination+rank-certificate"
-METHOD_SATURATION = "saturation-at-origin"
 
 
 @dataclass(frozen=True)
 class CutTrial:
-    """One draw of random linear cuts for one prefix."""
+    """One draw of random linear cuts for one prefix, decided by the rank
+    certificate."""
 
     prefix: int
     trial: int
     cut_seed: int
     certified: bool
-    method: str
 
 
 @dataclass(frozen=True)
@@ -420,7 +281,6 @@ class RegularityVerdict:
     A CertifiedRegular outcome is a proof: every prefix passed a sound
     isolation certificate.  RefutedAtPrefix(i) is Monte-Carlo evidence:
     the stated number of independent cut draws all failed for prefix i.
-    Inconclusive means a resource budget was exhausted first.
     """
 
     outcome: str
@@ -507,11 +367,13 @@ def _reduced_row_echelon(rows: list, domain: Domain) -> tuple:
 def _has_full_column_rank(rows: list, ncols: int, p: int) -> bool:
     """Gaussian elimination mod p on an int matrix, vectorized.
 
-    Entries stay in [0, p); products fit int64 because p^2 < 2^63.
+    Entries stay in [0, p), so a product of two entries fits int64 when
+    (p - 1)^2 < 2^63; for larger p the matrix holds exact Python ints.
     """
     if len(rows) < ncols:
         return False
-    mat = np.array(rows, dtype=np.int64)
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    mat = np.array(rows, dtype=dtype)
     r = 0
     for c in range(ncols):
         column = mat[r:, c]
@@ -602,40 +464,26 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
     return _has_full_column_rank(rows, len(columns), p)
 
 
-def _origin_isolated_by_saturation(
-    gens: Sequence[Polynomial], ring: PolyRing, budget: int
-) -> bool:
-    presentation = IdealPresentation(ring, tuple(gens))
-    saturated = saturate_at_origin(presentation, budget)
-    domain = ring.domain
-    return any(
-        not domain.is_zero(g.constant_coefficient()) for g in saturated.generators
-    )
-
-
 def regular_at_origin(
     sequence: Sequence[Polynomial],
-    n: Optional[int] = None,
     trials: int = 5,
     seed: int = 0,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> RegularityVerdict:
-    """Certify or refute that the sequence is regular at the origin.
+    """Certify or refute that a homogeneous sequence is regular at the origin.
 
-    For each prefix of length i, draws n - i random linear cuts through the
-    origin and certifies the prefix when the origin is isolated in the
-    combined zero set (then the local dimension is exactly n - i).  A prefix
-    that fails ``trials`` independent draws is refuted with Monte-Carlo
-    confidence; evidence records the observed local dimension next to the
-    expected one.
+    With n the number of ring variables, for each prefix of length i draws
+    n - i random linear cuts through the origin and certifies the prefix
+    when the origin is isolated in the combined zero set (then the local
+    dimension is exactly n - i).  A prefix that fails ``trials`` independent
+    draws is refuted with Monte-Carlo confidence; evidence records the
+    observed local dimension next to the expected one, computed within
+    ``budget`` Groebner pair reductions.
     """
     if not sequence:
         raise ValueError("empty sequence")
     ring = sequence[0].ring
-    if n is None:
-        n = ring.nvars
-    if n != ring.nvars:
-        raise ValueError("stated variable count disagrees with the ring")
+    n = ring.nvars
     if len(sequence) > n:
         raise ValueError(
             f"sequence of length {len(sequence)} cannot be regular in {n} variables"
@@ -646,10 +494,11 @@ def regular_at_origin(
             raise ValueError("sequence entries live in different rings")
         if not domain.is_zero(g.constant_coefficient()):
             raise ValueError("every entry must vanish at the origin")
+        if not g.is_homogeneous():
+            raise ValueError("regularity is certified only for homogeneous entries")
     if trials < 1:
         raise ValueError("at least one trial required")
 
-    homogeneous = all(g.is_homogeneous() for g in sequence)
     evidence = []
     for i in range(1, len(sequence) + 1):
         prefix = list(sequence[:i])
@@ -659,25 +508,9 @@ def regular_at_origin(
         for trial in range(1, trials + 1):
             cut_seed = derive_seed(seed, trial=trial, point=i, purpose=PURPOSE_LINEAR_CUTS)
             cuts = random_linear_cuts(ring, n - i, cut_seed)
-            gens = prefix + cuts
-            if homogeneous:
-                ok = _certify_isolated_homogeneous(gens, ring)
-                method = METHOD_RANK
-            else:
-                try:
-                    ok = _origin_isolated_by_saturation(gens, ring, budget)
-                except BudgetExceededError as error:
-                    return RegularityVerdict(
-                        outcome=INCONCLUSIVE,
-                        trial_count=trials,
-                        evidence=tuple(evidence),
-                        message=str(error),
-                    )
-                method = METHOD_SATURATION
+            ok = _certify_isolated_homogeneous(prefix + cuts, ring)
             records.append(
-                CutTrial(
-                    prefix=i, trial=trial, cut_seed=cut_seed, certified=ok, method=method
-                )
+                CutTrial(prefix=i, trial=trial, cut_seed=cut_seed, certified=ok)
             )
             if ok:
                 certified = True
@@ -693,7 +526,6 @@ def regular_at_origin(
             )
             continue
         # Refuted: annotate with the observed local dimension when affordable.
-        local_dimension: Optional[int] = None
         try:
             local_dimension = ideal_dimension(
                 IdealPresentation(ring, tuple(prefix)), budget

@@ -132,18 +132,6 @@ def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
     return phis
 
 
-def truncated_kth_root(w: Sequence[Polynomial], K: int, k: int) -> Polynomial:
-    """Partial sum 1 + Φ_1 + ... + Φ_k; its K-th power matches 1 + Σ w_j
-    through weighted degree k."""
-    if k < 1:
-        raise ValueError("truncation index must be at least 1")
-    phis = phi_polynomials(w, K, k)
-    total = w[0].ring.one()
-    for phi in phis:
-        total = total + phi
-    return total
-
-
 def truncate_f(q: Sequence[Polynomial], k: int) -> Polynomial:
     """Partial sum q_1 + ... + q_k of the graded pieces of the hypersurface."""
     if not 1 <= k <= len(q):
@@ -277,15 +265,6 @@ def series_constant(domain: Domain, value, N: int) -> TruncatedSeries:
 
 def series_zero(domain: Domain, N: int) -> TruncatedSeries:
     return series_constant(domain, domain.zero, N)
-
-
-def series_parameter(domain: Domain, N: int) -> TruncatedSeries:
-    """The series t itself."""
-    if N < 1:
-        raise ValueError("order bound must be at least 1 to hold t")
-    coeffs = [domain.zero] * (N + 1)
-    coeffs[1] = domain.one
-    return TruncatedSeries(domain, tuple(coeffs))
 
 
 def series_kth_root(c: TruncatedSeries, K: int) -> TruncatedSeries:

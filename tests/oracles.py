@@ -1,0 +1,216 @@
+"""Independent routes that the tests check the library against.
+
+Nothing in ``cycover`` calls these.  They reach the same answers as the
+library by other means, so a test can compare the two:
+
+* saturation at the origin by iterated ideal quotient, entirely through
+  Buchberger completion — decides whether the origin is an isolated point
+  of a zero set, as the Macaulay rank certificate in ``cycover.regseq``
+  does for homogeneous ideals;
+* K-th roots mod p through a primitive root and a discrete logarithm, as
+  against the root finding behind ``cycover.modular.kth_root_mod``.
+"""
+
+from typing import Optional, Sequence
+
+from cycover.poly import Polynomial, PolyRing, poly_mul, ring_over
+from cycover.regseq import (
+    DEFAULT_PAIR_BUDGET,
+    GroebnerBasis,
+    IdealPresentation,
+    _s_polynomial,
+    groebner_basis,
+    normal_form,
+)
+
+_ELIMINATION_WEIGHT = 1 << 30
+
+
+# -- Groebner bases, intersections, quotients, saturation ----------------------
+
+
+def is_groebner_basis(gb: GroebnerBasis) -> bool:
+    """Every S-polynomial of basis pairs reduces to zero."""
+    basis = list(gb.basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if not normal_form(_s_polynomial(basis[i], basis[j]), basis).is_zero():
+                return False
+    return True
+
+
+def _exact_divide(h: Polynomial, f: Polynomial) -> Polynomial:
+    """Quotient h / f when f divides h exactly."""
+    ring = h.ring
+    domain = ring.domain
+    quotient: dict = {}
+    work = h
+    fe, fc = f.leading()
+    while not work.is_zero():
+        he, hc = work.leading()
+        shift = tuple(b - a for a, b in zip(fe, he))
+        if any(s < 0 for s in shift):
+            raise ArithmeticError("exact division failed: not a multiple")
+        q = domain.div(hc, fc)
+        quotient[shift] = q
+        work = work - poly_mul(Polynomial(ring, {shift: q}), f)
+    return Polynomial(ring, quotient)
+
+
+def ideal_intersection(
+    I: IdealPresentation, J: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET
+) -> IdealPresentation:
+    """I ∩ J by the tag-variable trick with an elimination order.
+
+    In k[t, z..] with t heaviest (so any monomial containing t beats any
+    monomial without), I ∩ J = (t·I + (1−t)·J) ∩ k[z..], read off from the
+    members of the reduced basis free of t.
+    """
+    ring = I.ring
+    if J.ring != ring:
+        raise ValueError("intersection across rings")
+    tagged = ring_over(
+        ("@t",) + ring.variables,
+        ring.domain,
+        (_ELIMINATION_WEIGHT,) + ring.weights,
+    )
+
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial(tagged, {(0,) + e: c for e, c in p.terms.items()})
+
+    t = tagged.gen(0)
+    one = tagged.one()
+    gens = [poly_mul(t, lift(g)) for g in I.generators]
+    gens += [poly_mul(one - t, lift(g)) for g in J.generators]
+    gb = groebner_basis(IdealPresentation(tagged, tuple(gens)), budget, "intersection")
+    kept = []
+    for p in gb.basis:
+        if p.leading()[0][0] == 0:  # elimination order: no t anywhere in p
+            kept.append(Polynomial(ring, {e[1:]: c for e, c in p.terms.items()}))
+    return IdealPresentation(ring, tuple(kept))
+
+
+def ideal_quotient_by(
+    J: IdealPresentation, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET
+) -> IdealPresentation:
+    """(J : f) = (J ∩ (f)) / f for a single nonzero f."""
+    if f.is_zero():
+        raise ValueError("quotient by zero")
+    meet = ideal_intersection(J, IdealPresentation(J.ring, (f,)), budget)
+    return IdealPresentation(J.ring, tuple(_exact_divide(h, f) for h in meet.generators))
+
+
+def _quotient_by_origin_ideal(J: IdealPresentation, budget: int) -> IdealPresentation:
+    """(J : m) for the maximal ideal m of the origin: meet of (J : z_i)."""
+    ring = J.ring
+    result: Optional[IdealPresentation] = None
+    for i in range(ring.nvars):
+        partial = ideal_quotient_by(J, ring.gen(i), budget)
+        result = partial if result is None else ideal_intersection(result, partial, budget)
+    assert result is not None
+    return result
+
+
+def saturate_at_origin(
+    J: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET
+) -> IdealPresentation:
+    """(J : m^∞): strips the primary components supported at the origin.
+
+    Iterates the single quotient until it stabilizes; stabilization is
+    detected on canonical reduced bases.  Requires every generator to
+    vanish at the origin (the ideal cuts a set through it).
+    """
+    ring = J.ring
+    for g in J.generators:
+        if not ring.domain.is_zero(g.constant_coefficient()):
+            raise ValueError("saturation expects generators vanishing at the origin")
+    current = IdealPresentation(ring, groebner_basis(J, budget, "saturation").basis)
+    while True:
+        step = _quotient_by_origin_ideal(current, budget)
+        canonical = IdealPresentation(
+            ring, groebner_basis(step, budget, "saturation").basis
+        )
+        if canonical.generators == current.generators:
+            return current
+        current = canonical
+
+
+def origin_isolated_by_saturation(
+    gens: Sequence[Polynomial], ring: PolyRing, budget: int = DEFAULT_PAIR_BUDGET
+) -> bool:
+    """Whether the origin is an isolated point of V(gens): saturating away
+    the origin leaves the unit ideal exactly when nothing else passes
+    through it."""
+    saturated = saturate_at_origin(IdealPresentation(ring, tuple(gens)), budget)
+    domain = ring.domain
+    return any(
+        not domain.is_zero(g.constant_coefficient()) for g in saturated.generators
+    )
+
+
+# -- K-th roots mod p by discrete logarithm ------------------------------------
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization by trial division (intended for n up to ~1e12)."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    factors: dict = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def primitive_root(p: int) -> int:
+    """Least primitive root modulo a prime p."""
+    if p == 2:
+        return 1
+    prime_divisors = list(factorize(p - 1))
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
+            return g
+    raise ArithmeticError(f"no primitive root found mod {p}")
+
+
+def discrete_log(base: int, target: int, p: int) -> int:
+    """x with base^x = target (mod p), by baby-step giant-step.
+
+    Assumes base generates the full multiplicative group (order p-1).
+    """
+    base %= p
+    target %= p
+    if target == 0:
+        raise ValueError("discrete log of zero")
+    order = p - 1
+    step = int(order**0.5) + 1
+    baby = {}
+    value = 1
+    for j in range(step):
+        baby.setdefault(value, j)
+        value = value * base % p
+    giant = pow(base, (p - 1 - step) % (p - 1), p)  # base^(-step)
+    gamma = target
+    for i in range(step + 1):
+        if gamma in baby:
+            return (i * step + baby[gamma]) % order
+        gamma = gamma * giant % p
+    raise ArithmeticError("discrete log not found; base is not a generator")
+
+
+def kth_root_by_discrete_log(a: int, k: int, p: int) -> Optional[int]:
+    """g^(L/k) for the least primitive root g and L the discrete log of a,
+    or None when k does not divide L (a is not a k-th power)."""
+    a %= p
+    if a == 0:
+        return 0
+    g = primitive_root(p)
+    log = discrete_log(g, a, p)
+    if log % k != 0:
+        return None
+    return pow(g, log // k, p)

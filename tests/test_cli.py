@@ -7,7 +7,7 @@ import pytest
 from cycover import cli
 from cycover.cover import default_prime, random_instance, sample_point_off_branch
 from cycover.family import validate_family
-from cycover.parsing import default_instance_text, parse_instance_file
+from cycover.parsing import parse_instance_file
 from cycover.poly import PrimeField
 from cycover.report import (
     VERDICT_CERTIFIED,
@@ -16,6 +16,7 @@ from cycover.report import (
     VERDICT_UNSUPPORTED,
     reports_equal_modulo_timings,
 )
+from helpers import default_instance_text
 
 WORKHORSE = validate_family(5, 4, 2, 2)
 PRIME = default_prime(WORKHORSE)
@@ -37,6 +38,19 @@ l = 2
 K = 2
 f = x0^3*x1 + x1^4 - x2^4 + x3^4 + x4^4 + x5^4 + x6^4
 g2 = x0^4 + x1^4
+"""
+
+
+# On the branch at (1:0:...:0), with a regular R2 sequence.  Every arc's
+# leading branch constant is 101 times an integer below 101, never a
+# rational square, so no on-branch arc exists over Q.
+RATIONAL_ON_BRANCH_FILE = """\
+M = 5
+m = 4
+l = 2
+K = 2
+f = x0^3*x1 + x0^2*x2^2 + x0*x3^3 + x4^4 + x5^4 + x6^4
+g = 101*x0^3*x5 + 101*x0^2*x6^2 + 101*x1^4 + 101*x2^4 + 101*x3^4 + 101*x4^4
 """
 
 
@@ -278,6 +292,23 @@ class TestCertify:
         assert code == cli.EXIT_INPUT_ERROR
         assert "1 mod 3" in err
 
+    def test_rational_on_branch_without_arcs_is_inconclusive(self, tmp_path, capsys):
+        path = tmp_path / "rational-on-branch.inst"
+        path.write_text(RATIONAL_ON_BRANCH_FILE)
+        code, out, err = run_cli(
+            ["certify", str(path), "--point", "1,0,0,0,0,0,0",
+             "--arc-count", "1", "--arc-order", "2"],
+            capsys,
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert err == ""
+        record = json.loads(out)["records"][0]
+        assert record["branch_position"] == "on"
+        assert record["regularity"]["outcome"] == "CertifiedRegular"
+        assert "no cover-compatible arc found in 64 attempts" in record["reason"]
+        assert record["verdict"] == VERDICT_INCONCLUSIVE
+        assert "order_checks" not in record
+
     def test_conflicting_prime_override_rejected(self, workhorse_file, capsys):
         code, _, err = run_cli(
             ["certify", workhorse_file, "--prime", "13"], capsys
@@ -287,6 +318,22 @@ class TestCertify:
 
 
 class TestCampaign:
+    def test_branch_weight_one_on_branch_unsupported(self, capsys):
+        # m + K = 7 members in 6 chart variables: an Unsupported record and
+        # exit 3, with the report written.
+        code, out, _ = run_cli(
+            ["campaign", "--family", "5,3,1,4", "--trials", "1",
+             "--points-off", "0", "--points-on", "1"],
+            capsys,
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        doc = json.loads(out)
+        record = doc["records"][0]
+        assert record["case"] is None
+        assert record["verdict"] == VERDICT_UNSUPPORTED
+        assert "R2 has 7 members in 6 chart variables" in record["reason"]
+        assert doc["summary"]["verdict"] == VERDICT_UNSUPPORTED
+
     def test_small_campaign_certifies(self, capsys):
         code, out, _ = run_cli(
             [

@@ -31,10 +31,12 @@ from cycover.cover import (
     validate_family,
     verify_regularity,
 )
+from cycover.cover import _scalar_kth_root
 from cycover.modular import is_kth_power_residue
 from cycover.poly import QQ, PrimeField, poly_eval
 from cycover.regseq import CERTIFIED_REGULAR
 from cycover.series import poly_on_series
+from helpers import truncated_kth_root
 
 WORKHORSE = validate_family(5, 4, 2, 2)
 
@@ -212,7 +214,6 @@ class TestLocalize:
         assert chart.base_piece(2) == z[1] * z[1]
         assert not chart.on_branch
         assert chart.branch_scale == 1
-        assert chart.root_normalizer == 1
 
     def test_pieces_reconstruct_forms(self):
         inst = _quartic_instance()
@@ -246,7 +247,7 @@ class TestLocalize:
         assert not chart.on_branch
         assert chart.branch_scale == 2
         assert chart.branch_piece(0) == chart.ring.one()
-        assert chart.root_normalizer is None
+        assert _scalar_kth_root(QQ, chart.branch_scale, 2) is None
 
     def test_rational_root_recorded_when_perfect_power(self):
         fam = validate_family(5, 2, 4, 2)
@@ -257,7 +258,7 @@ class TestLocalize:
         inst = CoverInstance(family=fam, base_form=base, branch_form=branch)
         chart = localize(inst, (1, 0, 0, 0, 0, 0, 0))
         assert chart.branch_scale == Fraction(9, 4)
-        assert chart.root_normalizer == Fraction(3, 2)
+        assert _scalar_kth_root(QQ, chart.branch_scale, 2) == Fraction(3, 2)
 
     def test_on_branch_flag(self):
         fam = validate_family(5, 2, 4, 2)
@@ -269,7 +270,6 @@ class TestLocalize:
         chart = localize(inst, (1, 0, 0, 0, 0, 0, 0))
         assert chart.on_branch
         assert chart.branch_piece(0).is_zero()
-        assert chart.root_normalizer is None
         z = chart.ring.gens()
         assert chart.branch_piece(1) == z[1]
 
@@ -294,7 +294,9 @@ class TestLocalize:
         inst = instance_mod_p(_quartic_instance(), p)
         chart = localize(inst, (1, 0, 0, 0, 0, 0, 0))
         assert not chart.on_branch
-        assert chart.root_normalizer in (1, p - 1)
+        assert chart.branch_scale == 1
+        # the least square root of 1 mod p
+        assert _scalar_kth_root(chart.domain, chart.branch_scale, 2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,6 @@ class TestRegularitySequence:
         chart = localize(inst, (0, 1, 1, 0, 0, 0, 0))
         case = regularity_sequence(chart)
         phi3 = case.members[-1]
-        from cycover.series import truncated_kth_root
         from cycover.poly import truncate_degree
 
         root = truncated_kth_root(list(chart.branch_pieces[1:]), 2, 3)
@@ -405,20 +406,18 @@ class TestRegularitySequence:
         assert verify_regularity(on, seed=3).outcome == CERTIFIED_REGULAR
 
     def test_branch_weight_one_length_violation_is_explicit(self):
-        # with branch weight 1 the on-branch sequence is longer than the
-        # chart variable count, which the verifier rejects by name.
+        # with branch weight 1 the on-branch sequence (m + K = 7 members)
+        # is longer than the 6 chart variables; the case is refused by name.
         fam = validate_family(5, 5, 1, 2)
         ring = ambient_ring(fam, QQ)
         x = ring.gens()
         base = x[0] ** 4 * x[1] + x[2] ** 5
         branch = x[0] * x[2]
         inst = CoverInstance(family=fam, base_form=base, branch_form=branch)
-        case = regularity_sequence(localize(inst, (1, 0, 0, 0, 0, 0, 0)))
-        assert case.tag == "R2"
-        assert len(case.members) == 7  # exceeds the 6 chart variables
-        with pytest.raises(ValueError) as err:
-            verify_regularity(case)
-        assert "cannot be regular" in str(err.value)
+        with pytest.raises(UnsupportedInstanceError) as err:
+            regularity_sequence(localize(inst, (1, 0, 0, 0, 0, 0, 0)))
+        assert "case R2 has 7 members in 6 chart variables" in str(err.value)
+        assert "cannot be a regular sequence" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +442,6 @@ class TestHypertangentMember:
         assert len(member.root_multipliers) == 1
         assert member.cover_part == member.root_multipliers[0]
         # the plain part picks up minus the truncated root times s*_0
-        from cycover.series import truncated_kth_root
-
         root2 = truncated_kth_root(list(chart.branch_pieces[1:]), 2, 2)
         expected = (
             member.base_multipliers[1] * chart.base_piece(1)

@@ -18,9 +18,9 @@ import pytest
 from cycover import cli
 from cycover.cover import default_prime, random_instance
 from cycover.family import validate_family
-from cycover.parsing import default_instance_text
 from cycover.poly import PrimeField
 from cycover.report import without_timings
+from helpers import default_instance_text
 
 DATA = Path(__file__).parent / "data"
 WORKHORSE = validate_family(5, 4, 2, 2)

@@ -1,7 +1,8 @@
 """Number theory oracles: primes, roots mod p, univariate root finding.
 
 Frozen constants (working primes, primitive roots) were computed with an
-independent tool before this module existed.
+independent tool before this module existed.  K-th roots are checked
+against the discrete-log route in ``oracles`` and against brute force.
 """
 
 import pytest
@@ -9,22 +10,19 @@ import pytest
 from cycover.modular import (
     DEFAULT_PRIME_FLOOR,
     det_mod,
-    discrete_log,
-    factorize,
     is_kth_power_residue,
     is_prime,
     kth_root_mod,
     lagrange_interpolate,
-    next_prime,
     poly1_divmod,
     poly1_eval,
     poly1_gcd,
     poly1_mul,
     poly1_roots,
-    primitive_root,
     working_prime,
 )
 from cycover.seeds import Rng
+from oracles import discrete_log, factorize, kth_root_by_discrete_log, primitive_root
 
 
 class TestPrimes:
@@ -42,10 +40,6 @@ class TestPrimes:
     def test_carmichael_number_rejected(self):
         assert not is_prime(561)
         assert not is_prime(1729)
-
-    def test_next_prime(self):
-        assert next_prime(1_000_000) == 1_000_003
-        assert next_prime(14) == 17
 
     def test_working_prime_frozen_values(self):
         # Independently computed: least prime >= 1000003 congruent 1 mod K.
@@ -88,12 +82,31 @@ class TestRoots:
 
     def test_square_roots(self):
         p = 1_000_003
-        r = kth_root_mod(25, 2, p)
-        assert r in (5, p - 5)
+        assert kth_root_mod(25, 2, p) == 5  # the lesser of 5 and p - 5
+        assert kth_root_mod(p - 25, 2, p) is None  # -1 is a nonresidue: p = 3 mod 4
         assert kth_root_mod(0, 2, p) == 0
         # A nonresidue has no root: g^odd is never a square.
         g = primitive_root(p)
         assert kth_root_mod(g, 2, p) is None
+
+    def test_least_root_by_brute_force(self):
+        for p, k in ((13, 3), (31, 5), (101, 4)):
+            for a in range(p):
+                roots = [x for x in range(p) if pow(x, k, p) == a]
+                assert kth_root_mod(a, k, p) == (roots[0] if roots else None)
+
+    def test_agrees_with_discrete_log_route(self):
+        rng = Rng(7)
+        for k in (2, 3, 5):
+            p = working_prime(k)
+            for _ in range(20):
+                a = 1 + rng.below(p - 1)
+                root = kth_root_mod(a, k, p)
+                other = kth_root_by_discrete_log(a, k, p)
+                assert (root is None) == (other is None)
+                if root is not None:
+                    assert pow(root, k, p) == pow(other, k, p) == a
+                    assert root <= other
 
     def test_kth_root_round_trip(self):
         rng = Rng(42)

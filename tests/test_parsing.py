@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from cycover.parsing import (
     InstanceFileError,
     ParseError,
-    default_instance_text,
     parse_instance_file,
     parse_polynomial,
 )
 from cycover.poly import QQ, PrimeField, random_homogeneous, ring_over
 from cycover.seeds import derive_seed
+from helpers import default_instance_text
 
 
 @pytest.fixture(scope="module")

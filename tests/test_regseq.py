@@ -1,7 +1,8 @@
 """Groebner engine and regularity certifier against a hand-decomposed catalog.
 
 Every expected dimension or verdict below was derived by hand (explicit
-primary decompositions noted inline) before the engine existed.
+primary decompositions noted inline) before the engine existed.  The
+saturation route in ``oracles`` checks the rank certificate independently.
 """
 
 from fractions import Fraction
@@ -10,25 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycover.poly import Polynomial, PrimeField, QQ, ring_over
+from cycover.poly import PrimeField, QQ, random_homogeneous, ring_over
 from cycover.regseq import (
     BudgetExceededError,
     CERTIFIED_REGULAR,
-    GroebnerBasis,
-    INCONCLUSIVE,
-    IdealPresentation,
     REFUTED_AT_PREFIX,
+    _certify_isolated_homogeneous,
+    _has_full_column_rank,
     groebner_basis,
     ideal,
-    ideal_contains,
     ideal_dimension,
-    ideal_equal,
-    ideal_intersection,
-    ideal_quotient_by,
-    is_groebner_basis,
     normal_form,
     random_linear_cuts,
     regular_at_origin,
+)
+from cycover.seeds import Rng, derive_seed
+from oracles import (
+    ideal_intersection,
+    ideal_quotient_by,
+    is_groebner_basis,
+    origin_isolated_by_saturation,
     saturate_at_origin,
 )
 
@@ -39,6 +41,16 @@ R4 = ring_over(("z1", "z2", "z3", "z4"))
 
 def gb_of(ring, gens):
     return groebner_basis(ideal(ring, gens))
+
+
+def contains(I, f):
+    """Ideal membership: f reduces to zero modulo a Groebner basis of I."""
+    return normal_form(f, groebner_basis(I).basis).is_zero()
+
+
+def same_ideal(I, J):
+    """Equal ideals have equal reduced Groebner bases."""
+    return groebner_basis(I).basis == groebner_basis(J).basis
 
 
 # -- Groebner bases -------------------------------------------------------------
@@ -91,12 +103,12 @@ class TestGroebner:
         z1, z2 = R2.gens()
         I = ideal(R2, [z1**2, z1 * z2 - z2**3])
         # Multiples of the generators are members...
-        assert ideal_contains(I, z1**2 * (z1 + z2))
-        assert ideal_contains(I, z1**2 * z2 + (z1 * z2 - z2**3) * z2)
+        assert contains(I, z1**2 * (z1 + z2))
+        assert contains(I, z1**2 * z2 + (z1 * z2 - z2**3) * z2)
         # ... but z1*z2 alone is not: the reduced basis is {z1^2, z2^3 - z1 z2}
         # (the degree-3 term leads), and z1*z2 is its own normal form.
-        assert not ideal_contains(I, z1 * z2)
-        assert not ideal_contains(I, z2)
+        assert not contains(I, z1 * z2)
+        assert not contains(I, z2)
 
     def test_budget_error(self):
         z1, z2, z3 = R3.gens()
@@ -269,20 +281,20 @@ class TestSaturation:
         z1, z2 = R2.gens()
         J = ideal(R2, [z1 * z2**2, z2**3])
         sat = saturate_at_origin(J)
-        assert ideal_equal(sat, ideal(R2, [z2**2]))
+        assert same_ideal(sat, ideal(R2, [z2**2]))
 
     def test_quotient_worked_example(self):
         # ((z1^2, z1 z2, z2^2) : z1) = (z1, z2).
         z1, z2 = R2.gens()
         J = ideal(R2, [z1**2, z1 * z2, z2**2])
         quotient = ideal_quotient_by(J, z1)
-        assert ideal_equal(quotient, ideal(R2, [z1, z2]))
+        assert same_ideal(quotient, ideal(R2, [z1, z2]))
 
     def test_intersection_worked_example(self):
         # (z1) n (z2) = (z1 z2).
         z1, z2 = R2.gens()
         meet = ideal_intersection(ideal(R2, [z1]), ideal(R2, [z2]))
-        assert ideal_equal(meet, ideal(R2, [z1 * z2]))
+        assert same_ideal(meet, ideal(R2, [z1 * z2]))
 
     def test_requires_vanishing_at_origin(self):
         z1, _ = R2.gens()
@@ -350,21 +362,25 @@ class TestRegularAtOrigin:
         # as certified.
         assert [e.prefix for e in verdict.evidence] == [1, 2]
 
-    def test_non_homogeneous_sequence_via_saturation(self):
+    def test_non_homogeneous_sequence_rejected(self):
+        # Regular at the origin, but only homogeneous sequences are
+        # certified; the saturation oracle still decides each prefix.
         z1, z2 = R2.gens()
-        verdict = regular_at_origin([z1 - z2**3, z2], seed=23)
-        assert verdict.outcome == CERTIFIED_REGULAR
-        assert all(
-            record.method == "saturation-at-origin"
-            for e in verdict.evidence
-            for record in e.trials
-        )
+        with pytest.raises(ValueError) as err:
+            regular_at_origin([z1 - z2**3, z2], seed=23)
+        assert "homogeneous" in str(err.value)
+        assert origin_isolated_by_saturation([z1 - z2**3, z1 + z2], R2)
+        assert origin_isolated_by_saturation([z1 - z2**3, z2], R2)
 
-    def test_non_homogeneous_budget_inconclusive(self):
+    def test_budget_exhaustion_leaves_local_dimension_unknown(self):
+        # The pair budget bounds only the dimension annotation of a refuted
+        # prefix; the refutation itself stands.
         z1, z2 = R2.gens()
-        verdict = regular_at_origin([z1 - z2**3, z2], seed=23, budget=0)
-        assert verdict.outcome == INCONCLUSIVE
-        assert "budget of 0" in verdict.message
+        verdict = regular_at_origin([z1, z1 * z2], seed=3, budget=0)
+        assert verdict.outcome == REFUTED_AT_PREFIX
+        assert verdict.refuted_prefix == 2
+        assert verdict.evidence[-1].local_dimension is None
+        assert "local dimension unknown, expected 0" in verdict.message
 
     def test_prime_field_certification(self):
         ring = ring_over(("z1", "z2", "z3"), PrimeField(1_000_003))
@@ -408,8 +424,6 @@ class TestCuts:
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31), st.integers(2, 3))
 def test_groebner_of_random_small_ideals_verifies(seed, count):
-    from cycover.poly import random_homogeneous
-
     gens = [random_homogeneous(R2, 1 + (seed + k) % 3, seed + 7 * k) for k in range(count)]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -423,15 +437,83 @@ def test_groebner_of_random_small_ideals_verifies(seed, count):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31))
 def test_intersection_contains_products(seed):
-    from cycover.poly import random_homogeneous
-
     f = random_homogeneous(R2, 2, seed)
     g = random_homogeneous(R2, 1, seed + 1)
     if f.is_zero() or g.is_zero():
         return
     meet = ideal_intersection(ideal(R2, [f]), ideal(R2, [g]))
     # f*g lies in the intersection; every intersection member is in both.
-    assert ideal_contains(meet, f * g)
+    assert contains(meet, f * g)
     for member in meet.generators:
-        assert ideal_contains(ideal(R2, [f]), member)
-        assert ideal_contains(ideal(R2, [g]), member)
+        assert contains(ideal(R2, [f]), member)
+        assert contains(ideal(R2, [g]), member)
+
+
+# -- the rank certificate against the saturation oracle ---------------------------
+
+DIFFERENTIAL_DOMAINS = (QQ, PrimeField(101))
+
+
+def isolation_case(domain, nvars, length, shared, seed):
+    """A homogeneous prefix of degrees 1-2 plus random cuts up to ``nvars``
+    generators.  With ``shared`` every prefix member gets one common linear
+    factor, so a prefix of length 2 or more leaves a hypersurface through
+    the origin that the cuts cannot isolate."""
+    ring = ring_over(("z1", "z2", "z3")[:nvars], domain)
+    length = min(length, nvars)
+    prefix = [
+        random_homogeneous(ring, 1 + (seed + k) % 2, derive_seed(seed, trial=k))
+        for k in range(length)
+    ]
+    if shared:
+        factor = random_homogeneous(ring, 1, derive_seed(seed, trial=length))
+        prefix = [factor * g for g in prefix]
+    return ring, prefix + random_linear_cuts(ring, nvars - length, seed)
+
+
+@settings(max_examples=48, deadline=None)
+@given(
+    st.sampled_from(DIFFERENTIAL_DOMAINS),
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**31),
+)
+def test_rank_certificate_agrees_with_saturation(domain, nvars, length, shared, seed):
+    ring, gens = isolation_case(domain, nvars, length, shared, seed)
+    assert _certify_isolated_homogeneous(gens, ring) == origin_isolated_by_saturation(
+        gens, ring
+    )
+
+
+def test_differential_cases_reach_both_verdicts():
+    verdicts = set()
+    for domain in DIFFERENTIAL_DOMAINS:
+        for shared in (False, True):
+            ring, gens = isolation_case(domain, 3, 2, shared, seed=17)
+            isolated = origin_isolated_by_saturation(gens, ring)
+            assert _certify_isolated_homogeneous(gens, ring) == isolated
+            verdicts.add((shared, isolated))
+    assert verdicts == {(False, True), (True, False)}
+
+
+# -- exact rank above the int64 product range --------------------------------------
+
+
+@pytest.mark.parametrize("p", [3_100_000_027, 2**61 - 1])
+def test_rank_check_exact_for_primes_past_int64_products(p):
+    # (p - 1)^2 >= 2^63 here, so int64 products of two entries would wrap.
+    assert (p - 1) ** 2 >= 2**63
+    rng = Rng(p % 1_000)
+    for _ in range(100):
+        # An 8x5 times 5x6 product has rank at most 5 < 6 columns.
+        left = [[rng.below(p) for _ in range(5)] for _ in range(8)]
+        right = [[rng.below(p) for _ in range(6)] for _ in range(5)]
+        rows = [
+            [sum(a * b for a, b in zip(row, column)) % p for column in zip(*right)]
+            for row in left
+        ]
+        assert not _has_full_column_rank(rows, 6, p)
+    full = [[int(i == j) for j in range(6)] for i in range(6)]
+    full += [[rng.below(p) for _ in range(6)] for _ in range(2)]
+    assert _has_full_column_rank([full[k] for k in (6, 0, 7, 1, 2, 3, 4, 5)], 6, p)

@@ -24,11 +24,10 @@ from cycover.series import (
     poly_on_series,
     series_constant,
     series_kth_root,
-    series_parameter,
     series_zero,
     truncate_f,
-    truncated_kth_root,
 )
+from helpers import series_parameter, truncated_kth_root
 
 R2 = ring_over(("z1", "z2"))
 F = Fraction
