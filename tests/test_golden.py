@@ -31,10 +31,25 @@ CAMPAIGN_ARGS = [
 ]
 # The instance of the ``workhorse_file`` fixture in test_cli.py.
 CERTIFY_ARGS = ["certify", "{file}", "--points-off", "1", "--points-on", "0"]
+# Over Q at an explicit off-branch point whose pivot coordinate is 2, so
+# localization works with non-integral Fractions.
+RATIONAL_CERTIFY_ARGS = [
+    "certify", "{data}/rational-5422.inst", "--point", "2,1,-1,1,0,3,1",
+]
+# Out of grevlex order, with repeated and cancelling monomials, negative and
+# fractional coefficients, a negative leading term and a product of sums.
+PARSE_EXPRESSION = (
+    "z - 3/4*x*y + 2*y^2*z - x^3 + 5/6*x*y + y^2*z + x^3 - 7"
+    " + 1/2*z^2*x - 2/3 - 2*x^2*y*z + (x - 1/2)*(y + 3) - 4*y^2*z"
+)
+PARSE_ARGS = ["parse", PARSE_EXPRESSION, "--vars", "x,y,z"]
 
 GOLDEN = {
     "campaign-5422-seed7.json": CAMPAIGN_ARGS,
     "certify-workhorse-off.json": CERTIFY_ARGS,
+    "certify-rational-off.json": RATIONAL_CERTIFY_ARGS,
+    "parse-rational.json": PARSE_ARGS,
+    "parse-prime-101.json": PARSE_ARGS + ["--prime", "101"],
 }
 
 
@@ -48,7 +63,8 @@ def stripped_report(args, directory: Path) -> str:
     instance_file = directory / "workhorse.inst"
     instance_file.write_text(workhorse_text())
     output = directory / "report.json"
-    argv = [arg.format(file=instance_file) for arg in args] + ["--output", str(output)]
+    argv = [arg.format(file=instance_file, data=DATA) for arg in args]
+    argv += ["--output", str(output)]
     assert cli.main(argv) == cli.EXIT_CERTIFIED
     return json.dumps(without_timings(json.loads(output.read_text())), indent=2) + "\n"
 

@@ -303,8 +303,10 @@ def test_power_matches_repeated_multiplication(F, e):
 @settings(max_examples=40, deadline=None)
 @given(poly_strategy(R2))
 def test_text_is_reparse_stable_representation(F):
-    # Canonical form: equal polynomials print identically.
-    G = Polynomial(R2, dict(F.terms))
+    # Canonical form: equal polynomials print identically and hash equal,
+    # whatever order their terms were inserted in.
+    G = Polynomial(R2, dict(reversed(list(F.terms.items()))))
+    assert F == G
     assert F.text() == G.text()
     assert hash(F) == hash(G)
 
