@@ -64,6 +64,7 @@ from .cover import (
     localize,
     random_instance,
     regularity_sequence,
+    require_sampling_prime,
     sample_point_off_branch,
     sample_point_on_branch,
     smooth_at,
@@ -223,13 +224,7 @@ class CampaignConfig:
             raise ValueError("a campaign needs at least one point per trial")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        field_check = PrimeField(self.prime)  # validates primality
-        if (field_check.p - 1) % self.family.cover_degree != 0:
-            raise ValueError(
-                f"sampling prime {self.prime} must be 1 mod "
-                f"{self.family.cover_degree} so that K-th power residues "
-                f"are testable"
-            )
+        require_sampling_prime(self.family, self.prime)
         if self.instance_text is not None:
             document = parse_instance_file(self.instance_text)
             if document.family != self.family:
@@ -351,7 +346,7 @@ def check_point(
     checks: List[Dict[str, Any]] = []
     if chart.on_branch:
         max_threshold = family.cover_degree
-        order = options.arc_order or (2 * max_threshold + 2)
+        order = options.arc_order or default_arc_order(max_threshold)
     else:
         levels = list(admissible_hypertangent_levels(family))
         order = options.arc_order or default_arc_order(levels[-1])
@@ -416,14 +411,6 @@ def _resolve_field_instance(
             )
         return instance, current
     return instance_mod_p(instance, wanted), wanted
-
-
-def _require_sampling_prime(family: CoverFamily, prime: int):
-    if (prime - 1) % family.cover_degree != 0:
-        raise ValueError(
-            f"sampling prime {prime} must be 1 mod {family.cover_degree} "
-            f"so that K-th power residues are testable"
-        )
 
 
 def _summarize(report: ReportDocument) -> str:
@@ -496,7 +483,7 @@ def run_certify(
                 "sampling points requires a prime field; give --prime or "
                 "drop the sampled point counts"
             )
-        _require_sampling_prime(family, prime)
+        require_sampling_prime(family, prime)
 
     report.options = {
         "prime": prime,

@@ -96,6 +96,7 @@ __all__ = [
     "MultiplicityReport",
     "hypertangent_multiplicity_check",
     "branch_truncation_check",
+    "require_sampling_prime",
     "sample_point_off_branch",
     "sample_point_on_branch",
     "default_prime",
@@ -830,14 +831,14 @@ def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
             y = TruncatedSeries(
                 domain, (domain.zero,) * shift + v.coeffs[: N + 1 - shift]
             )
-        truncated = {name: s.truncate(N) for name, s in components.items()}
-        cover_residual = y.pow_int(K) - poly_on_series(
-            chart.localized_branch, truncated
-        )
+        # Truncation mod t^(N+1) is a ring homomorphism, so the branch form
+        # composed with the truncated components is composed_branch.truncate(N).
+        cover_residual = y.pow_int(K) - composed_branch.truncate(N)
         if cover_residual.order() is not None:
             raise ArithmeticError(
                 "cover component leaves a nonzero branch residual"
             )
+        truncated = {name: s.truncate(N) for name, s in components.items()}
         truncated[COVER_VARIABLE] = y
         return Arc(truncated, {"base": N + 1, "cover": N + 1})
     raise SampleBudgetError(
@@ -980,15 +981,22 @@ def branch_truncation_check(
 # ---------------------------------------------------------------------------
 
 
+def require_sampling_prime(family: CoverFamily, prime: int) -> None:
+    """Reject a sampling prime that is not a prime = 1 mod the cover degree,
+    the condition under which K-th power residues are testable."""
+    PrimeField(prime)  # validates primality
+    if (prime - 1) % family.cover_degree != 0:
+        raise ValueError(
+            f"sampling prime {prime} must be 1 mod {family.cover_degree} "
+            f"so that K-th power residues are testable"
+        )
+
+
 def _require_sampling_field(instance: CoverInstance) -> PrimeField:
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise ValueError("point sampling works over a prime field")
-    if (domain.p - 1) % instance.family.cover_degree != 0:
-        raise ValueError(
-            f"sampling needs a prime = 1 mod the cover degree "
-            f"{instance.family.cover_degree}; got {domain.p}"
-        )
+    require_sampling_prime(instance.family, domain.p)
     return domain
 
 

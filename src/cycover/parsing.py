@@ -165,12 +165,15 @@ class _Parser:
         self.fail(f"expected {wanted}, found {token.describe()}", token)
 
     def expression(self) -> Polynomial:
-        value = self.term()
+        # One dict for the whole sum, so an n-term sum builds one polynomial
+        # instead of n running sums.
+        domain = self.ring.domain
+        total = dict(self.term().terms)
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+            combine = domain.add if self.advance().kind == "+" else domain.sub
+            for exps, coeff in self.term().terms.items():
+                total[exps] = combine(total.get(exps, domain.zero), coeff)
+        return Polynomial(self.ring, total)
 
     def term(self) -> Polynomial:
         value = self.factor()
@@ -200,8 +203,9 @@ class _Parser:
                     )
                 self.advance()
                 power = int(exponent.text)
-            generator = self.ring.gen(index)
-            return generator ** power if power != 1 else generator
+            exps = [0] * self.ring.nvars
+            exps[index] = power
+            return self.ring.monomial(exps)
         if token.kind == "(":
             self.advance()
             value = self.expression()

@@ -7,9 +7,9 @@ elements are plain ints reduced to [0, p).  A polynomial belongs to a
 integer weight per variable; "degree" always means the weighted total
 degree with respect to those weights.
 
-Terms are stored sparsely, keyed by exponent tuple, and kept in descending
-graded reverse lexicographic order, so equal polynomials have identical
-representations and ``text()`` output is canonical.
+Terms are stored sparsely, keyed by exponent tuple, in no particular order.
+Equality and hashing ignore the order; ``leading()`` and ``text()`` use
+descending graded reverse lexicographic order, so ``text()`` is canonical.
 """
 
 from __future__ import annotations
@@ -214,10 +214,7 @@ class PolyRing:
         return self.const(self.domain.one)
 
     def const(self, value) -> "Polynomial":
-        value = self.domain.of(value)
-        if self.domain.is_zero(value):
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: value})
+        return Polynomial(self, {(0,) * self.nvars: self.domain.of(value)})
 
     def gen(self, i: int) -> "Polynomial":
         exps = [0] * self.nvars
@@ -228,11 +225,11 @@ class PolyRing:
         return [self.gen(i) for i in range(self.nvars)]
 
     def monomial(self, exps: Sequence[int], coeff=None) -> "Polynomial":
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != self.nvars:
+            raise ValueError("exponent tuple has wrong arity")
         coeff = self.domain.one if coeff is None else self.domain.of(coeff)
-        return Polynomial(self, {tuple(int(e) for e in exps): coeff})
-
-    def from_terms(self, terms: Mapping) -> "Polynomial":
-        return Polynomial(self, dict(terms))
+        return Polynomial(self, {exps: coeff})
 
 
 def ring_over(variables: Iterable[str], domain: Domain = QQ, weights=None) -> PolyRing:
@@ -240,22 +237,20 @@ def ring_over(variables: Iterable[str], domain: Domain = QQ, weights=None) -> Po
 
 
 class Polynomial:
-    """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
+    """Immutable sparse polynomial; do not mutate ``terms`` after creation.
+
+    Coefficients are canonical domain elements and the constructor only
+    drops zero terms: outside values go through ``domain.of`` first.
+    """
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Mapping):
-        domain = ring.domain
-        cleaned = {}
-        for exps, coeff in terms.items():
-            coeff = domain.of(coeff)
-            if not domain.is_zero(coeff):
-                if len(exps) != ring.nvars:
-                    raise ValueError("exponent tuple has wrong arity")
-                cleaned[tuple(exps)] = coeff
-        ordered = dict(sorted(cleaned.items(), key=lambda kv: ring.term_key(kv[0]), reverse=True))
+        is_zero = ring.domain.is_zero
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", ordered)
+        object.__setattr__(
+            self, "terms", {e: c for e, c in terms.items() if not is_zero(c)}
+        )
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -291,7 +286,8 @@ class Polynomial:
         """(exponents, coefficient) of the grevlex-largest term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return next(iter(self.terms.items()))
+        exps = max(self.terms, key=self.ring.term_key)
+        return exps, self.terms[exps]
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(tuple(exps), self.ring.domain.zero)
@@ -313,7 +309,7 @@ class Polynomial:
     def __hash__(self):
         cached = self._hash
         if cached is None:
-            cached = hash((self.ring, tuple(self.terms.items())))
+            cached = hash((self.ring, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -369,8 +365,6 @@ class Polynomial:
     def scale(self, scalar) -> "Polynomial":
         domain = self.ring.domain
         scalar = domain.of(scalar)
-        if domain.is_zero(scalar):
-            return self.ring.zero()
         return Polynomial(self.ring, {e: domain.mul(c, scalar) for e, c in self.terms.items()})
 
     def monic(self) -> "Polynomial":
@@ -449,8 +443,11 @@ class Polynomial:
         domain = self.ring.domain
         names = self.ring.variables
         rational = isinstance(domain, Rationals)
+        ordered = sorted(
+            self.terms.items(), key=lambda kv: self.ring.term_key(kv[0]), reverse=True
+        )
         pieces = []
-        for index, (exps, coeff) in enumerate(self.terms.items()):
+        for index, (exps, coeff) in enumerate(ordered):
             if rational and coeff < 0:
                 sign, magnitude = "-", -coeff
             else:
@@ -571,17 +568,9 @@ def homogeneous_component(F: Polynomial, degree: int) -> Polynomial:
 def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:
     """F(z + point): move ``point`` to the origin of the coordinates."""
     ring = F.ring
-    domain = ring.domain
     if len(point) != ring.nvars:
         raise ValueError("point has wrong arity")
-    images = []
-    for i, coordinate in enumerate(point):
-        shift = domain.of(coordinate)
-        terms = {tuple(1 if j == i else 0 for j in range(ring.nvars)): domain.one}
-        if not domain.is_zero(shift):
-            terms[(0,) * ring.nvars] = shift
-        images.append(Polynomial(ring, terms))
-    return F.substitute(images)
+    return F.substitute([ring.gen(i) + ring.const(c) for i, c in enumerate(point)])
 
 
 def vanishing_order(F: Polynomial, point: Sequence):
@@ -622,9 +611,6 @@ def random_homogeneous(ring: PolyRing, degree: int, seed: int) -> Polynomial:
     domain = ring.domain
     if degree == 0:
         return ring.const(domain.random_nonzero(rng))
-    terms = {}
-    for exps in monomials_of_degree(ring, degree):
-        coeff = domain.random(rng)
-        if not domain.is_zero(coeff):
-            terms[exps] = coeff
-    return Polynomial(ring, terms)
+    return Polynomial(
+        ring, {exps: domain.random(rng) for exps in monomials_of_degree(ring, degree)}
+    )

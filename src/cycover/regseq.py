@@ -319,7 +319,6 @@ def random_linear_cuts(ring: PolyRing, count: int, seed: int) -> list:
         terms = {
             tuple(1 if k == i else 0 for k in range(ring.nvars)): c
             for i, c in enumerate(coeffs)
-            if not domain.is_zero(c)
         }
         cuts.append(Polynomial(ring, terms))
     return cuts
@@ -436,9 +435,8 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
             row = rref[pivots.index(i)]
             terms = {}
             for j in remaining:
-                if not domain.is_zero(row[j]):
-                    exps = tuple(1 if k == position[j] else 0 for k in range(len(remaining)))
-                    terms[exps] = domain.neg(row[j])
+                exps = tuple(1 if k == position[j] else 0 for k in range(len(remaining)))
+                terms[exps] = domain.neg(row[j])
             images.append(Polynomial(reduced_ring, terms))
     reduced_gens = []
     for g in nonlinear:

@@ -147,15 +147,16 @@ def truncate_f(q: Sequence[Polynomial], k: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """c_0 + c_1 t + ... + c_N t^N; nothing is known beyond t^N."""
+    """c_0 + c_1 t + ... + c_N t^N; nothing is known beyond t^N.
+
+    Coefficients are canonical domain elements, not coerced here: outside
+    values go through ``domain.of`` first.
+    """
 
     domain: Domain
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(self.domain.of(c) for c in self.coeffs)
-        )
         if not self.coeffs:
             raise ValueError("a truncated series stores at least c_0")
 

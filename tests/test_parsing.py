@@ -12,7 +12,7 @@ from cycover.parsing import (
     parse_instance_file,
     parse_polynomial,
 )
-from cycover.poly import QQ, PrimeField, random_homogeneous, ring_over
+from cycover.poly import QQ, Polynomial, PrimeField, random_homogeneous, ring_over
 from cycover.seeds import derive_seed
 from helpers import default_instance_text
 
@@ -64,6 +64,25 @@ class TestGrammar:
         p = parse_polynomial("1/2*x0 + 20*x1", gf)
         # 1/2 = 7 mod 13, 20 = 7 mod 13
         assert p == gf.const(7) * gf.gen(0) + gf.const(7) * gf.gen(1)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_sum_parses_in_linear_work(n, monkeypatch):
+    # Counts the terms handed to every Polynomial constructor while parsing
+    # an n-term sum; rebuilding the running sum per term costs about n^2/2.
+    built = [0]
+    original = Polynomial.__init__
+
+    def counting_init(self, ring, terms):
+        built[0] += len(terms)
+        original(self, ring, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    ring = ring_over(("x", "y"), QQ)
+    monomials = [f"x^{i}*y^{j}" for i in range(20) for j in range(20)][:n]
+    text = " + ".join(monomials[::2]) + " - " + " - ".join(monomials[1::2])
+    assert len(parse_polynomial(text, ring)) == n
+    assert built[0] <= 4 * n
 
 
 class TestGrammarErrors:
