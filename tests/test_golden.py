@@ -43,9 +43,21 @@ PARSE_EXPRESSION = (
     " + 1/2*z^2*x - 2/3 - 2*x^2*y*z + (x - 1/2)*(y + 3) - 4*y^2*z"
 )
 PARSE_ARGS = ["parse", PARSE_EXPRESSION, "--vars", "x,y,z"]
+# K = 3: cube roots off the branch, and an on-branch lift at order 3N.
+CUBE_CAMPAIGN_ARGS = [
+    "campaign", "--family", "5,2,2,3", "--trials", "1",
+    "--points-off", "1", "--points-on", "1", "--seed", "7",
+]
+# A family whose off-branch sequence takes the R1b shape.
+R1B_CAMPAIGN_ARGS = [
+    "campaign", "--family", "5,4,1,3", "--trials", "1",
+    "--points-off", "1", "--points-on", "0", "--seed", "7",
+]
 
 GOLDEN = {
     "campaign-5422-seed7.json": CAMPAIGN_ARGS,
+    "campaign-5223-seed7.json": CUBE_CAMPAIGN_ARGS,
+    "campaign-5413-seed7.json": R1B_CAMPAIGN_ARGS,
     "certify-workhorse-off.json": CERTIFY_ARGS,
     "certify-rational-off.json": RATIONAL_CERTIFY_ARGS,
     "parse-rational.json": PARSE_ARGS,
