@@ -245,7 +245,10 @@ class _Parser:
             denominator = int(denominator_token.text)
             if denominator == 0:
                 self.fail("zero denominator in rational", denominator_token)
-        return self.ring.const(Fraction(numerator, denominator))
+        try:
+            return self.ring.const(Fraction(numerator, denominator))
+        except ValueError as error:  # the denominator vanishes mod p
+            self.fail(str(error), token)
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

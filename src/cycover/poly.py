@@ -119,7 +119,7 @@ class PrimeField:
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
-                raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
+                raise ValueError(f"denominator of {value} vanishes mod {self.p}")
             return value.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(value) % self.p
 
@@ -378,23 +378,6 @@ class Polynomial:
     def __call__(self, point: Sequence):
         return poly_eval(self, point)
 
-    def derivative(self, var_index: int) -> "Polynomial":
-        domain = self.ring.domain
-        result = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var_index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[var_index] = e - 1
-            key = tuple(new)
-            value = domain.mul(coeff, domain.of(e))
-            if key in result:
-                result[key] = domain.add(result[key], value)
-            else:
-                result[key] = value
-        return Polynomial(self.ring, result)
-
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Evaluate at polynomial arguments (one image per variable)."""
         if len(images) != self.ring.nvars:
@@ -407,26 +390,7 @@ class Polynomial:
                 raise RingMismatchError("substitution images in different rings")
         if target.domain != self.ring.domain:
             raise DomainMismatchError("substitution across coefficient domains")
-        powers: list = [{0: target.one()} for _ in images]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            if e not in cache:
-                best = max(k for k in cache if k <= e)
-                acc = cache[best]
-                for k in range(best + 1, e + 1):
-                    acc = poly_mul(acc, images[i])
-                    cache[k] = acc
-            return cache[e]
-
-        total = target.zero()
-        for exps, coeff in self.terms.items():
-            term = target.const(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = poly_mul(term, power(i, e))
-            total = total + term
-        return total
+        return compose(self, images, target.one())
 
     def map_domain(self, new_ring: PolyRing) -> "Polynomial":
         """Reinterpret coefficients in ``new_ring``'s domain (same variables)."""
@@ -563,6 +527,27 @@ def homogeneous_component(F: Polynomial, degree: int) -> Polynomial:
     return Polynomial(
         ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) == degree}
     )
+
+
+def compose(F: Polynomial, images: Sequence, one):
+    """F at one image per variable, in any algebra whose elements support
+    ``+``, ``*`` and ``scale``; ``one`` is that algebra's unit.
+
+    Each image's powers are built once, one product per exponent, up to the
+    largest exponent F has in that variable.  A term is the product of its
+    cached powers, the first of them scaled by its coefficient.
+    """
+    powers = [[one, image] for image in images]
+    total = one.scale(0)
+    for exps, coeff in F.terms.items():
+        term = None
+        for chain, e in zip(powers, exps):
+            while len(chain) <= e:
+                chain.append(chain[-1] * chain[1])
+            if e:
+                term = chain[e].scale(coeff) if term is None else term * chain[e]
+        total = total + (one.scale(coeff) if term is None else term)
+    return total
 
 
 def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:

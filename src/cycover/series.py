@@ -21,6 +21,7 @@ from typing import Mapping, Optional, Sequence
 from .poly import (
     Domain,
     Polynomial,
+    compose,
     homogeneous_component,
     poly_mul_truncated,
     truncate_degree,
@@ -218,14 +219,6 @@ class TruncatedSeries:
         s = domain.of(scalar)
         return TruncatedSeries(domain, tuple(domain.mul(c, s) for c in self.coeffs))
 
-    def shift(self, e: int) -> "TruncatedSeries":
-        """Multiply by t^e, keeping the same order bound."""
-        if e < 0:
-            raise ValueError("shift must be nonnegative")
-        n = self.order_bound
-        coeffs = (self.domain.zero,) * min(e, n + 1) + self.coeffs[: max(0, n + 1 - e)]
-        return TruncatedSeries(self.domain, coeffs[: n + 1])
-
     def pow_int(self, e: int) -> "TruncatedSeries":
         if e < 0:
             raise ValueError("negative powers: use inverse() first")
@@ -310,22 +303,9 @@ def poly_on_series(F: Polynomial, assignment: Mapping[str, TruncatedSeries]) -> 
     if not series:
         raise ValueError("composition needs at least one variable")
     n = min(s.order_bound for s in series)
-    total = series_zero(domain, n)
-    power_cache: list = [dict() for _ in series]
-
-    def power(i: int, e: int) -> TruncatedSeries:
-        cache = power_cache[i]
-        if e not in cache:
-            cache[e] = series[i].truncate(n).pow_int(e)
-        return cache[e]
-
-    for exps, coeff in F.terms.items():
-        term = series_constant(domain, coeff, n)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+    return compose(
+        F, [s.truncate(n) for s in series], series_constant(domain, domain.one, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -421,45 +401,53 @@ def arc_lift(
     """Series s(t) with s(0) = 0 solving F = 0 when variable ``solved_var``
     is s and the remaining variables follow ``free_values``.
 
-    Newton iteration on truncated series: each step solves the linearization
-    at the current approximation, doubling the correct order, so the residual
-    vanishes through t^N after ~log2(N) steps.  Requires the origin to lie on
-    {F = 0} with the solved direction transverse (nonzero partial there).
+    F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k composed
+    with the free series once.  Newton iteration then solves the
+    linearization at the current approximation, doubling the correct order,
+    so the residual vanishes through t^N after ~log2(N) steps; one Horner
+    pass in s yields both F and ∂F/∂s.  Requires the origin to lie on
+    {F = 0} (c_0(0) = 0) with the solved direction transverse (c_1(0) ≠ 0).
     """
     ring = F.ring
     domain = ring.domain
     if not 0 <= solved_var < ring.nvars:
         raise ValueError("solved variable index out of range")
-    origin = [domain.zero] * ring.nvars
-    if F(origin) != domain.zero:
-        raise ValueError("the origin does not lie on the hypersurface")
-    partial = F.derivative(solved_var)
-    if domain.is_zero(partial(origin)):
-        raise SingularDirectionError(
-            "partial derivative in the solved direction vanishes at the origin"
-        )
-    names = ring.variables
-    assignment = {}
-    for i, name in enumerate(names):
+    images = []
+    for i, name in enumerate(ring.variables):
         if i == solved_var:
+            images.append(series_zero(domain, N))  # the parts c_k lack s
             continue
         if i not in free_values:
             raise ValueError(f"missing series for variable {name}")
         s = free_values[i].truncate(N)
         if not domain.is_zero(s[0]):
             raise ValueError(f"free series for {name} must vanish at t = 0")
-        assignment[name] = s
+        images.append(s)
+    parts: list = [{}, {}]  # c_0 and c_1 are read even when F lacks them
+    for exps, coeff in F.terms.items():
+        k = exps[solved_var]
+        while len(parts) <= k:
+            parts.append({})
+        parts[k][exps[:solved_var] + (0,) + exps[solved_var + 1 :]] = coeff
+    one = series_constant(domain, domain.one, N)
+    c = [compose(Polynomial(ring, part), images, one) for part in parts]
+    if not domain.is_zero(c[0][0]):
+        raise ValueError("the origin does not lie on the hypersurface")
+    if domain.is_zero(c[1][0]):
+        raise SingularDirectionError(
+            "partial derivative in the solved direction vanishes at the origin"
+        )
 
-    solved_name = names[solved_var]
     current = series_zero(domain, N)
     # Quadratic convergence: correct through order 2^steps after `steps` steps.
     steps = 0
     while True:
-        assignment[solved_name] = current
-        residual = poly_on_series(F, assignment)
+        residual, slope = c[-1], series_zero(domain, N)
+        for coefficient in reversed(c[:-1]):
+            slope = slope * current + residual
+            residual = residual * current + coefficient
         if residual.order() is None:
             break
-        slope = poly_on_series(partial, assignment)
         current = current - residual * slope.inverse()
         steps += 1
         if steps > N.bit_length() + 3:

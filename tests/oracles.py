@@ -8,10 +8,14 @@ library by other means, so a test can compare the two:
   of a zero set, as the Macaulay rank certificate in ``cycover.regseq``
   does for homogeneous ideals;
 * K-th roots mod p through a primitive root and a discrete logarithm, as
-  against the root finding behind ``cycover.modular.kth_root_mod``.
+  against the root finding behind ``cycover.modular.kth_root_mod``;
+* polynomials composed with series term by term, each exponent powered on
+  its own, as against the power-caching ``cycover.poly.compose``;
+* the Newton lift that composes F and ∂F/∂s on every step, as against
+  ``cycover.series.arc_lift``, which composes F once.
 """
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from cycover.poly import Polynomial, PolyRing, poly_mul, ring_over
 from cycover.regseq import (
@@ -21,6 +25,12 @@ from cycover.regseq import (
     _s_polynomial,
     groebner_basis,
     normal_form,
+)
+from cycover.series import (
+    SingularDirectionError,
+    TruncatedSeries,
+    series_constant,
+    series_zero,
 )
 
 _ELIMINATION_WEIGHT = 1 << 30
@@ -214,3 +224,73 @@ def kth_root_by_discrete_log(a: int, k: int, p: int) -> Optional[int]:
     if log % k != 0:
         return None
     return pow(g, log // k, p)
+
+
+# -- composition with series and Newton lifting, term by term ------------------
+
+
+def derivative(F: Polynomial, var_index: int) -> Polynomial:
+    """∂F/∂z for the variable at ``var_index``."""
+    domain = F.ring.domain
+    result: dict = {}
+    for exps, coeff in F.terms.items():
+        e = exps[var_index]
+        if e == 0:
+            continue
+        new = list(exps)
+        new[var_index] = e - 1
+        key = tuple(new)
+        value = domain.mul(coeff, domain.of(e))
+        result[key] = domain.add(result[key], value) if key in result else value
+    return Polynomial(F.ring, result)
+
+
+def poly_on_series_by_terms(
+    F: Polynomial, assignment: Mapping[str, TruncatedSeries]
+) -> TruncatedSeries:
+    """F composed with one series per variable name: each term starts from
+    its constant series and is multiplied by ``pow_int`` powers."""
+    domain = F.ring.domain
+    series = [assignment[name] for name in F.ring.variables]
+    n = min(s.order_bound for s in series)
+    total = series_zero(domain, n)
+    for exps, coeff in F.terms.items():
+        term = series_constant(domain, coeff, n)
+        for s, e in zip(series, exps):
+            if e:
+                term = term * s.truncate(n).pow_int(e)
+        total = total + term
+    return total
+
+
+def arc_lift_by_recomposition(
+    F: Polynomial,
+    solved_var: int,
+    free_values: Mapping[int, TruncatedSeries],
+    N: int,
+) -> TruncatedSeries:
+    """The Newton lift of ``cycover.series.arc_lift``, composing F and
+    ∂F/∂s with every variable on every step."""
+    ring = F.ring
+    domain = ring.domain
+    origin = [domain.zero] * ring.nvars
+    if F(origin) != domain.zero:
+        raise ValueError("the origin does not lie on the hypersurface")
+    partial = derivative(F, solved_var)
+    if domain.is_zero(partial(origin)):
+        raise SingularDirectionError("the solved direction is not transverse")
+    assignment = {
+        name: free_values[i].truncate(N)
+        for i, name in enumerate(ring.variables)
+        if i != solved_var
+    }
+    solved_name = ring.variables[solved_var]
+    current = series_zero(domain, N)
+    for _ in range(N.bit_length() + 4):
+        assignment[solved_name] = current
+        residual = poly_on_series_by_terms(F, assignment)
+        if residual.order() is None:
+            return current
+        slope = poly_on_series_by_terms(partial, assignment)
+        current = current - residual * slope.inverse()
+    raise ArithmeticError("Newton iteration failed to converge")

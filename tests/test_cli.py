@@ -54,6 +54,17 @@ g = 101*x0^3*x5 + 101*x0^2*x6^2 + 101*x1^4 + 101*x2^4 + 101*x3^4 + 101*x4^4
 """
 
 
+# The coefficient 1/1000003 has no value in GF(1000003).
+VANISHING_DENOMINATOR_FILE = """\
+M = 5
+m = 4
+l = 2
+K = 2
+f = 1/1000003*x0^4 + x1^4 + x2^4 + x3^4 + x4^4 + x5^4 + x6^4
+g = x0^4 + x1^4
+"""
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -315,6 +326,37 @@ class TestCertify:
         )
         assert code == cli.EXIT_INPUT_ERROR
         assert "cannot be rechecked" in err
+
+    @pytest.mark.parametrize(
+        "header, args, message",
+        [
+            (
+                "prime = 1000003\n",
+                ["--points-off", "1", "--points-on", "0"],
+                "line 6: in the value of 'f': denominator of 1/1000003 "
+                "vanishes mod 1000003 (expression column 1)",
+            ),
+            (
+                "",
+                ["--prime", "1000003", "--points-off", "1", "--points-on", "0"],
+                "denominator of 1/1000003 vanishes mod 1000003",
+            ),
+            (
+                "",
+                ["--prime", "13", "--point", "1/13,1,0,0,0,0,0"],
+                "denominator of 1/13 vanishes mod 13",
+            ),
+        ],
+        ids=["file-prime", "prime-override", "point"],
+    )
+    def test_denominator_vanishing_mod_p_exits_2(
+        self, header, args, message, tmp_path, capsys
+    ):
+        path = tmp_path / "vanishing.inst"
+        path.write_text(header + VANISHING_DENOMINATOR_FILE)
+        code, _, err = run_cli(["certify", str(path)] + args, capsys)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert message in err
 
 
 class TestCampaign:

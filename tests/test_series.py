@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycover.poly import PrimeField, QQ, ring_over, vanishing_order
+from cycover.poly import Polynomial, PrimeField, QQ, ring_over, vanishing_order
 from cycover.series import (
     Arc,
     GammaTable,
@@ -28,9 +28,11 @@ from cycover.series import (
     truncate_f,
 )
 from helpers import series_parameter, truncated_kth_root
+from oracles import arc_lift_by_recomposition, poly_on_series_by_terms
 
 R2 = ring_over(("z1", "z2"))
 F = Fraction
+GF101 = PrimeField(101)
 
 
 def QS(*coeffs):
@@ -179,9 +181,6 @@ class TestTruncatedSeries:
         assert QS(0, 0, 5, 1).order() == 2
         assert QS(0, 0, 0).order() is None
         assert QS(7).order() == 0
-
-    def test_shift(self):
-        assert QS(1, 2, 3, 4).shift(2).coeffs == (F(0), F(0), F(1), F(2))
 
     def test_inverse(self):
         a = QS(1, 1, 0, 0, 0)  # 1 + t
@@ -367,3 +366,78 @@ def test_root_identity_random_collections(seed, K, k):
     root = truncated_kth_root(w, K, k)
     defect_low = _pow_truncated(root, K, k) - truncate_degree(g, k)
     assert defect_low.is_zero()
+
+
+# -- the composition kernel and the Newton lift against term-by-term oracles ----
+
+NAMES3 = ("a", "b", "c")
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+def _series(domain, values):
+    return TruncatedSeries(domain, tuple(domain.of(v) for v in values))
+
+
+@st.composite
+def _polynomial(draw, ring, max_exp=4, max_terms=6):
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in range(ring.nvars)))
+    terms = draw(st.dictionaries(exps, SMALL, max_size=max_terms))
+    return Polynomial(ring, {e: ring.domain.of(c) for e, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composition_matches_term_by_term_oracle(data):
+    domain = data.draw(st.sampled_from([QQ, GF101]))
+    ring = ring_over(NAMES3, domain)
+    Fpoly = data.draw(_polynomial(ring))
+    assignment = {
+        name: _series(domain, data.draw(st.lists(SMALL, min_size=1, max_size=7)))
+        for name in NAMES3
+    }
+    assert poly_on_series(Fpoly, assignment) == poly_on_series_by_terms(Fpoly, assignment)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF101], ids=["QQ", "GF101"])
+def test_composition_edge_cases_match_oracle(domain):
+    ring = ring_over(NAMES3, domain)
+    a, b, c = ring.gens()
+    assignment = {
+        "a": _series(domain, [2, 1, -1, 3, 0, 1]),
+        "b": _series(domain, [0, 5, 0, -2, 1, 0, 4]),
+        "c": _series(domain, [F(1, 3), 0, 1, 1, 2, -1]),
+    }
+    cases = [
+        ring.zero(),
+        ring.const(7),
+        a**3 * c**4 + ring.const(2),  # b absent
+        b**5 + (a * b**3).scale(F(-1, 2)) + c,
+    ]
+    for Fpoly in cases:
+        composed = poly_on_series(Fpoly, assignment)
+        assert composed == poly_on_series_by_terms(Fpoly, assignment)
+        assert composed.order_bound == 5
+    assert poly_on_series(ring.zero(), assignment).is_zero()
+    assert poly_on_series(ring.const(7), assignment) == series_constant(domain, 7, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_arc_lift_matches_recomposing_newton(data):
+    domain = data.draw(st.sampled_from([QQ, GF101]))
+    ring = ring_over(NAMES3, domain)
+    solved = data.draw(st.integers(0, 2))
+    N = data.draw(st.integers(1, 10))
+    Fpoly = data.draw(_polynomial(ring, max_exp=3))
+    Fpoly = Fpoly - ring.const(Fpoly.constant_coefficient())
+    slope = domain.of(data.draw(SMALL.filter(bool)))
+    exps = [0, 0, 0]
+    exps[solved] = 1
+    Fpoly = Fpoly + ring.monomial(exps, domain.sub(slope, Fpoly.coefficient(exps)))
+    free = {
+        i: _series(domain, [0] + data.draw(st.lists(SMALL, min_size=N, max_size=N)))
+        for i in range(3)
+        if i != solved
+    }
+    lifted = arc_lift(Fpoly, solved, free, N)
+    assert lifted == arc_lift_by_recomposition(Fpoly, solved, free, N)
