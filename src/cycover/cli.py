@@ -224,7 +224,7 @@ class CampaignConfig:
             raise ValueError("a campaign needs at least one point per trial")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        require_sampling_prime(self.family, self.prime)
+        require_sampling_prime(self.family, self.prime, self.points_on > 0)
         if self.instance_text is not None:
             document = parse_instance_file(self.instance_text)
             if document.family != self.family:
@@ -483,7 +483,7 @@ def run_certify(
                 "sampling points requires a prime field; give --prime or "
                 "drop the sampled point counts"
             )
-        require_sampling_prime(family, prime)
+        require_sampling_prime(family, prime, options.points_on > 0)
 
     report.options = {
         "prime": prime,

@@ -981,22 +981,35 @@ def branch_truncation_check(
 # ---------------------------------------------------------------------------
 
 
-def require_sampling_prime(family: CoverFamily, prime: int) -> None:
+def require_sampling_prime(
+    family: CoverFamily, prime: int, on_branch: bool = False
+) -> None:
     """Reject a sampling prime that is not a prime = 1 mod the cover degree,
-    the condition under which K-th power residues are testable."""
+    the condition under which K-th power residues are testable.  On-branch
+    sampling also interpolates a resultant of degree m*n at m*n + 1 distinct
+    nodes, so it needs prime > m*n."""
     PrimeField(prime)  # validates primality
     if (prime - 1) % family.cover_degree != 0:
         raise ValueError(
             f"sampling prime {prime} must be 1 mod {family.cover_degree} "
             f"so that K-th power residues are testable"
         )
+    nodes = family.base_degree * family.branch_degree
+    if on_branch and prime <= nodes:
+        raise ValueError(
+            f"on-branch sampling needs a prime above m*n = {nodes} to "
+            f"interpolate the resultant at {nodes + 1} distinct nodes; "
+            f"got prime {prime}"
+        )
 
 
-def _require_sampling_field(instance: CoverInstance) -> PrimeField:
+def _require_sampling_field(
+    instance: CoverInstance, on_branch: bool = False
+) -> PrimeField:
     domain = instance.domain
     if not isinstance(domain, PrimeField):
         raise ValueError("point sampling works over a prime field")
-    require_sampling_prime(instance.family, domain.p)
+    require_sampling_prime(instance.family, domain.p, on_branch)
     return domain
 
 
@@ -1098,7 +1111,7 @@ def sample_point_on_branch(
     re-verifies every candidate against both forms.
     """
     branch_form = instance.require_plain("on-branch sampling")
-    field = _require_sampling_field(instance)
+    field = _require_sampling_field(instance, on_branch=True)
     p = field.p
     fam = instance.family
     nvars = instance.ring.nvars

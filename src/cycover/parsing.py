@@ -50,10 +50,14 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """A syntax or lookup error in a polynomial expression, with position."""
+    """A syntax, lookup or value error in a polynomial expression, with
+    position.  ``kind`` leads the message: a well-formed number without a
+    value in the domain is a "value error", anything else a "syntax error"."""
 
-    def __init__(self, reason: str, line: int, column: int):
-        super().__init__(f"syntax error at line {line}, column {column}: {reason}")
+    def __init__(
+        self, reason: str, line: int, column: int, kind: str = "syntax error"
+    ):
+        super().__init__(f"{kind} at line {line}, column {column}: {reason}")
         self.reason = reason
         self.line = line
         self.column = column
@@ -135,6 +139,7 @@ def _tokenize(text: str) -> List[_Token]:
 # -- recursive-descent parser --------------------------------------------------
 
 _ATOM_STARTERS = (_NUMBER, _NAME, "(")
+_VALUE_ERROR = "value error"
 
 
 class _Parser:
@@ -152,8 +157,8 @@ class _Parser:
         self.pos += 1
         return token
 
-    def fail(self, reason: str, token: _Token):
-        raise ParseError(reason, token.line, token.column)
+    def fail(self, reason: str, token: _Token, kind: str = "syntax error"):
+        raise ParseError(reason, token.line, token.column, kind)
 
     def fail_unexpected(self, token: _Token, wanted: str):
         if token.kind in _ATOM_STARTERS:
@@ -244,11 +249,13 @@ class _Parser:
             self.advance()
             denominator = int(denominator_token.text)
             if denominator == 0:
-                self.fail("zero denominator in rational", denominator_token)
+                self.fail(
+                    "zero denominator in rational", denominator_token, _VALUE_ERROR
+                )
         try:
             return self.ring.const(Fraction(numerator, denominator))
         except ValueError as error:  # the denominator vanishes mod p
-            self.fail(str(error), token)
+            self.fail(str(error), token, _VALUE_ERROR)
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

@@ -11,11 +11,17 @@ refutation after several independent cut draws is Monte-Carlo evidence.
 Isolation is certified for homogeneous sequences, the only kind the
 pipeline builds (every regularity sequence consists of graded pieces):
 independent linear elements of the ideal are eliminated by substitution,
-and isolation is equivalent to a single Macaulay-matrix full-rank check in
-the top relevant degree — with exactly as many generators as variables,
-the quotient is a complete intersection, whose Hilbert function provably
+and isolation is equivalent to a Macaulay-matrix full-rank check in the top
+relevant degree — with exactly as many generators as variables, the
+quotient is a complete intersection, whose Hilbert function provably
 vanishes first at cap = sum(deg_j - 1) + 1, making the rank test an exact
-decision.  Non-homogeneous sequences are rejected.
+decision.  The check first ranks Macaulay's square matrix, one row per
+column monomial x^a (the multiple of the first generator f_i with
+a_i >= deg f_i); its rows are rows of the full matrix, so a nonsingular
+square matrix proves full column rank.  Only when it is singular (Macaulay's
+extraneous factor vanishes) are all multiples of all generators ranked.
+Over Q the rank is taken modulo a large prime at which every entry is
+defined.  Non-homogeneous sequences and weighted rings are rejected.
 
 Buchberger completion only annotates a refuted prefix with the dimension
 of its zero set.  That work is metered by a pair-reduction budget; when the
@@ -31,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .modular import is_prime
 from .poly import (
     Domain,
     Polynomial,
@@ -43,8 +50,9 @@ from .poly import (
 from .seeds import PURPOSE_LINEAR_CUTS, Rng, derive_seed
 
 DEFAULT_PAIR_BUDGET = 200_000
-# Rank over Q is certified from below by ranking mod this prime: specializing
-# can only lower rank, so a full rank mod p proves full rank over Q.
+# Rank over Q is certified from below by ranking mod this prime (or the next
+# prime below it where every entry is defined): specializing can only lower
+# rank, so a full rank mod p proves full rank over Q.
 RANK_CHECK_PRIME = 2_147_483_629
 MONOMIAL_ORDER_TAG = "grevlex"
 
@@ -324,12 +332,24 @@ def random_linear_cuts(ring: PolyRing, count: int, seed: int) -> list:
     return cuts
 
 
+def _rank_check_prime(gens: Sequence[Polynomial], domain: Domain) -> int:
+    """The field's own prime, or over Q the first prime of the descending
+    sequence RANK_CHECK_PRIME, 2147483587, ... at which no coefficient's
+    denominator vanishes (finitely many primes divide the denominators)."""
+    if isinstance(domain, PrimeField):
+        return domain.p
+    denominators = {c.denominator for g in gens for c in g.terms.values()}
+    p = RANK_CHECK_PRIME
+    while any(d % p == 0 for d in denominators):
+        p -= 2
+        while not is_prime(p):
+            p -= 2
+    return p
+
+
 def _coefficient_mod(value, p: int) -> int:
     if isinstance(value, Fraction):
-        den = value.denominator % p
-        if den == 0:
-            raise ArithmeticError("denominator vanishes mod the rank-check prime")
-        return value.numerator % p * pow(den, p - 2, p) % p
+        return value.numerator % p * pow(value.denominator, p - 2, p) % p
     return int(value) % p
 
 
@@ -395,13 +415,23 @@ def _has_full_column_rank(rows: list, ncols: int, p: int) -> bool:
     return True
 
 
+def _macaulay_assignment(alpha: tuple, degrees: Sequence[int]) -> tuple:
+    """Macaulay's row for the column x^alpha: the first form i with
+    alpha_i >= d_i, shifted by x^(alpha - d_i e_i).  With v forms in v
+    variables and |alpha| = sum(d_i - 1) + 1, some i qualifies by pigeonhole."""
+    i = next(i for i, d in enumerate(degrees) if alpha[i] >= d)
+    return i, alpha[:i] + (alpha[i] - degrees[i],) + alpha[i + 1 :]
+
+
 def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) -> bool:
     """Sound isolation certificate for a homogeneous ideal.
 
     Eliminates independent linear members by substitution, then checks that
-    the top relevant graded piece of the quotient vanishes via one modular
-    rank computation.  True is a proof that the origin is the whole zero
-    set; False simply means this certificate did not fire.
+    the top relevant graded piece of the quotient vanishes by a modular rank
+    computation: first on Macaulay's square matrix (one row per column),
+    and only when that is singular on every multiple of every generator.
+    True is a proof that the origin is the whole zero set; False simply
+    means this certificate did not fire.
     """
     domain = ring.domain
     n = ring.nvars
@@ -444,21 +474,35 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
         if not image.is_zero():
             reduced_gens.append(image)
     v = len(remaining)
-    if len(reduced_gens) < v:
-        return False  # too few equations for an isolated point
-    cap = sum(g.degree() - 1 for g in reduced_gens) + 1
+    if len(reduced_gens) != v:
+        # Fewer equations cannot isolate a point; more never arise from one
+        # generator per variable, and Macaulay's rows pair forms with variables.
+        return False
+    degrees = [g.degree() for g in reduced_gens]
+    cap = sum(d - 1 for d in degrees) + 1
     columns = monomials_of_degree(reduced_ring, cap)
     column_index = {exps: k for k, exps in enumerate(columns)}
-    p = domain.p if isinstance(domain, PrimeField) else RANK_CHECK_PRIME
-    rows = []
-    for g in reduced_gens:
-        degree = g.degree()
-        for shift in monomials_of_degree(reduced_ring, cap - degree):
-            row = [0] * len(columns)
-            for exps, coeff in g.terms.items():
-                total = tuple(a + b for a, b in zip(exps, shift))
-                row[column_index[total]] = _coefficient_mod(coeff, p)
-            rows.append(row)
+    p = _rank_check_prime(reduced_gens, domain)
+    forms = [
+        {exps: _coefficient_mod(coeff, p) for exps, coeff in g.terms.items()}
+        for g in reduced_gens
+    ]
+
+    def row(k: int, shift: tuple) -> list:
+        entries = [0] * len(columns)
+        for exps, coeff in forms[k].items():
+            entries[column_index[tuple(a + b for a, b in zip(exps, shift))]] = coeff
+        return entries
+
+    square = [row(*_macaulay_assignment(alpha, degrees)) for alpha in columns]
+    if _has_full_column_rank(square, len(columns), p):
+        return True
+    # Singular (Macaulay's extraneous factor vanishes): rank every multiple.
+    rows = [
+        row(k, shift)
+        for k, degree in enumerate(degrees)
+        for shift in monomials_of_degree(reduced_ring, cap - degree)
+    ]
     return _has_full_column_rank(rows, len(columns), p)
 
 
@@ -487,6 +531,11 @@ def regular_at_origin(
             f"sequence of length {len(sequence)} cannot be regular in {n} variables"
         )
     domain = ring.domain
+    if any(w != 1 for w in ring.weights):
+        # The degree cap and Macaulay's pigeonhole both count plain degrees.
+        raise ValueError(
+            "regularity is certified only when every variable has weight 1"
+        )
     for g in sequence:
         if g.ring != ring:
             raise ValueError("sequence entries live in different rings")

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from cycover.report import (
 )
 from helpers import default_instance_text
 
+DATA = Path(__file__).parent / "data"
 WORKHORSE = validate_family(5, 4, 2, 2)
 PRIME = default_prime(WORKHORSE)
 
@@ -151,6 +153,18 @@ class TestSeriesAndParse:
         code, _, err = run_cli(["parse", "2x0", "--vars", "x0"], capsys)
         assert code == cli.EXIT_INPUT_ERROR
         assert "line 1, column 2" in err
+
+    def test_parse_value_error_is_not_a_syntax_error(self, capsys):
+        # Well formed, but 1/13 has no value in GF(13).
+        code, _, err = run_cli(
+            ["parse", "x + 1/13", "--vars", "x", "--prime", "13"], capsys
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert (
+            "value error at line 1, column 5: denominator of 1/13 vanishes mod 13"
+            in err
+        )
+        assert "syntax error" not in err
 
 
 class TestLocalize:
@@ -358,6 +372,23 @@ class TestCertify:
         assert code == cli.EXIT_INPUT_ERROR
         assert message in err
 
+    def test_denominator_of_the_rank_check_prime_certifies(self, tmp_path, capsys):
+        # 1/2147483629 has no value mod the first rank-check prime, so the
+        # rank certificate checks rank mod the next prime, 2147483587.
+        # Both terms vanish at the point (x4 = 0), which stays on f.
+        text = (DATA / "rational-5422.inst").read_text()
+        for term in ("2*x4^4", "x2*x3*x4*x5"):
+            assert f"+ {term} " in text
+            text = text.replace(f"+ {term} ", f"+ 1/2147483629*{term} ")
+        path = tmp_path / "rank-prime.inst"
+        path.write_text(text)
+        code, out, _ = run_cli(
+            ["certify", str(path), "--point", "2,1,-1,1,0,3,1"], capsys
+        )
+        assert code == cli.EXIT_CERTIFIED
+        record = json.loads(out)["records"][0]
+        assert record["regularity"]["outcome"] == "CertifiedRegular"
+
 
 class TestCampaign:
     def test_branch_weight_one_on_branch_unsupported(self, capsys):
@@ -467,6 +498,18 @@ class TestCampaign:
         )
         assert code == cli.EXIT_INPUT_ERROR
         assert "1 mod 3" in err
+
+    def test_on_branch_prime_at_most_mn_rejected_before_work(self, capsys):
+        # On-branch sampling interpolates a resultant of degree m*n = 16 at
+        # 17 nodes, which GF(13) does not have.
+        code, _, err = run_cli(
+            ["campaign", "--family", "5,4,2,2", "--points-on", "1", "--prime", "13"],
+            capsys,
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "m*n = 16" in err
+        assert "prime 13" in err
+        assert "interpolation nodes" not in err
 
     def test_malformed_family_spec(self, capsys):
         code, _, err = run_cli(

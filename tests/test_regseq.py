@@ -6,18 +6,22 @@ saturation route in ``oracles`` checks the rank certificate independently.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycover import regseq
 from cycover.poly import PrimeField, QQ, random_homogeneous, ring_over
 from cycover.regseq import (
     BudgetExceededError,
     CERTIFIED_REGULAR,
+    RANK_CHECK_PRIME,
     REFUTED_AT_PREFIX,
     _certify_isolated_homogeneous,
     _has_full_column_rank,
+    _rank_check_prime,
     groebner_basis,
     ideal,
     ideal_dimension,
@@ -404,6 +408,13 @@ class TestRegularAtOrigin:
         b = regular_at_origin([z1 * z2, z1 * z3], seed=5)
         assert a == b
 
+    def test_weighted_ring_rejected(self):
+        # The degree cap and Macaulay's pigeonhole assume weight 1.
+        ring = ring_over(("x", "y"), PrimeField(101), weights=(2, 3))
+        x, _ = ring.gens()
+        with pytest.raises(ValueError, match="weight 1"):
+            regular_at_origin([x**3, x**3])
+
 
 class TestCuts:
     def test_cuts_are_linear_and_deterministic(self):
@@ -517,3 +528,120 @@ def test_rank_check_exact_for_primes_past_int64_products(p):
     full = [[int(i == j) for j in range(6)] for i in range(6)]
     full += [[rng.below(p) for _ in range(6)] for _ in range(2)]
     assert _has_full_column_rank([full[k] for k in (6, 0, 7, 1, 2, 3, 4, 5)], 6, p)
+
+
+# -- Macaulay's square matrix first, the full rows as fallback ----------------------
+
+
+def rank_checks(gens, ring, withhold_square=False):
+    """The certificate's decision and the (rows, columns, full rank) of each
+    rank check it ran.  With ``withhold_square`` the first check, which is
+    Macaulay's square one whenever any check runs, is answered "singular"
+    unranked, so the decision is the full matrix's alone."""
+    checks = []
+
+    def recording(rows, ncols, p):
+        if withhold_square and not checks:
+            full_rank = False
+        else:
+            full_rank = _has_full_column_rank(rows, ncols, p)
+        checks.append((len(rows), ncols, full_rank))
+        return full_rank
+
+    with mock.patch.object(regseq, "_has_full_column_rank", recording):
+        decision = _certify_isolated_homogeneous(gens, ring)
+    return decision, checks
+
+
+def macaulay_case(domain, nvars, degrees, shared, seed):
+    """Forms of the given degrees in ``nvars`` variables, topped up with
+    linear cuts to one generator per variable.  With ``shared`` the forms
+    get a common linear factor, so two or more of them are not isolated."""
+    ring = ring_over(("z1", "z2", "z3", "z4")[:nvars], domain)
+    forms = [
+        random_homogeneous(ring, d, derive_seed(seed, trial=k))
+        for k, d in enumerate(degrees)
+    ]
+    if shared:
+        factor = random_homogeneous(ring, 1, derive_seed(seed, trial=len(degrees)))
+        forms = [factor * g for g in forms]
+    return ring, forms + random_linear_cuts(ring, nvars - len(forms), seed)
+
+
+# Saturating three cubics in three variables takes about 90 s, so the oracle
+# checks only the cases whose forms' degree product is at most this.
+ORACLE_DEGREE_PRODUCT = 6
+
+
+@st.composite
+def macaulay_shapes(draw):
+    nvars = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=nvars))
+    return nvars, degrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(DIFFERENTIAL_DOMAINS),
+    macaulay_shapes(),
+    st.booleans(),
+    st.integers(0, 2**31),
+)
+def test_square_first_matches_full_matrix_and_saturation(domain, shape, shared, seed):
+    nvars, degrees = shape
+    ring, gens = macaulay_case(domain, nvars, degrees, shared, seed)
+    decision, checks = rank_checks(gens, ring)
+    full_decision, _ = rank_checks(gens, ring, withhold_square=True)
+    assert decision == full_decision
+    if checks:
+        square_rows, columns, _ = checks[0]
+        assert square_rows == columns
+    product = 1
+    for d in degrees:
+        product *= d + shared
+    if product <= ORACLE_DEGREE_PRODUCT:
+        assert decision == origin_isolated_by_saturation(gens, ring)
+
+
+def test_square_matrix_has_one_row_per_column():
+    # Degrees 2, 3, 2 in three variables: cap 5, 21 columns, 26 full rows.
+    z1, z2, z3 = R3.gens()
+    gens = [z1**2 + z2 * z3, z2**3 - z1 * z3**2, z3**2 + z1 * z2]
+    decision, checks = rank_checks(gens, R3)
+    assert decision
+    assert checks == [(21, 21, True)]
+    _, withheld = rank_checks(gens, R3, withhold_square=True)
+    assert withheld == [(21, 21, False), (26, 21, True)]
+
+
+@pytest.mark.parametrize("domain", DIFFERENTIAL_DOMAINS, ids=["QQ", "GF101"])
+def test_singular_square_matrix_falls_back_to_full_rows(domain, monkeypatch):
+    # Macaulay gives column z1^4 to the first generator, z2^2, whose
+    # multiple z1^2*z2^2 has no z1^4 term; that column stays empty in the
+    # square matrix, while the full rows contain z1^2 * z1^2.
+    ring = ring_over(("z1", "z2", "z3"), domain)
+    z1, z2, z3 = ring.gens()
+    checks = []
+
+    def recording(rows, ncols, p):
+        full_rank = _has_full_column_rank(rows, ncols, p)
+        checks.append((len(rows), ncols, full_rank))
+        return full_rank
+
+    monkeypatch.setattr(regseq, "_has_full_column_rank", recording)
+    verdict = regular_at_origin([z2**2, z3**2, z1**2], seed=31)
+    assert verdict.outcome == CERTIFIED_REGULAR
+    top = verdict.evidence[-1]
+    assert top.prefix == 3 and len(top.trials) == 1
+    # The top prefix has no cuts: cap 4, 15 columns, 3 * 6 full rows.
+    assert checks[-2:] == [(15, 15, False), (18, 15, True)]
+
+
+def test_rank_check_prime_skips_primes_dividing_a_denominator():
+    z1, z2 = R2.gens()
+    assert _rank_check_prime([z1 + z2], QQ) == RANK_CHECK_PRIME
+    form = z1 * z2 + R2.const(Fraction(1, RANK_CHECK_PRIME)) * z2**2
+    assert _rank_check_prime([form], QQ) == 2_147_483_587
+    both = form + R2.const(Fraction(1, 2_147_483_587)) * z1**2
+    assert _rank_check_prime([both], QQ) == 2_147_483_579
+    assert _rank_check_prime([z1], PrimeField(101)) == 101
