@@ -54,6 +54,18 @@ R1B_CAMPAIGN_ARGS = [
     "--points-off", "1", "--points-on", "0", "--seed", "7",
 ]
 
+# The two extremes of a series slot width over GF(p): a small prime with an
+# on-branch lift, and the Mersenne prime 2^61 - 1.
+SMALL_PRIME_CAMPAIGN_ARGS = [
+    "campaign", "--family", "5,4,2,2", "--trials", "1",
+    "--points-off", "1", "--points-on", "1", "--seed", "3", "--prime", "17",
+]
+LARGE_PRIME_CAMPAIGN_ARGS = [
+    "campaign", "--family", "5,4,2,2", "--trials", "1",
+    "--points-off", "1", "--points-on", "0", "--seed", "3",
+    "--prime", "2305843009213693951",
+]
+
 GOLDEN = {
     "campaign-5422-seed7.json": CAMPAIGN_ARGS,
     "campaign-5223-seed7.json": CUBE_CAMPAIGN_ARGS,
@@ -62,6 +74,8 @@ GOLDEN = {
     "certify-rational-off.json": RATIONAL_CERTIFY_ARGS,
     "parse-rational.json": PARSE_ARGS,
     "parse-prime-101.json": PARSE_ARGS + ["--prime", "101"],
+    "campaign-5422-p17-seed3.json": SMALL_PRIME_CAMPAIGN_ARGS,
+    "campaign-5422-p2e61-seed3.json": LARGE_PRIME_CAMPAIGN_ARGS,
 }
 
 
