@@ -358,9 +358,11 @@ def check_point(
             )
             for arc_index in range(options.arc_count)
         ]
-    except SampleBudgetError as error:
+    except (SampleBudgetError, ArithmeticError) as error:
         # e.g. over Q on the branch locus, where an arc needs an exact
-        # rational K-th root of a random constant.
+        # rational K-th root of a random constant; or an internal fault
+        # such as a lifted arc that fails its residual recheck, which
+        # leaves the point unresolved rather than refuted.
         record["reason"] = str(error)
         record["verdict"] = worst_verdict(verdicts + [VERDICT_INCONCLUSIVE])
         record["seconds"] = time.perf_counter() - start

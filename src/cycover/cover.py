@@ -43,6 +43,7 @@ from .poly import (
     poly_eval,
     random_homogeneous,
     ring_over,
+    translate_origin,
 )
 from .regseq import DEFAULT_PAIR_BUDGET, RegularityVerdict, regular_at_origin
 from .seeds import (
@@ -61,6 +62,7 @@ from .series import (
     OrderResult,
     TruncatedSeries,
     arc_lift,
+    compose_series,
     ord_along_arc,
     phi_polynomials,
     poly_on_series,
@@ -362,8 +364,9 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
     """Move ``point`` to the origin of its standard affine chart.
 
     The pivot is the first nonzero coordinate; the point is rescaled so the
-    pivot coordinate is 1, the forms are dehomogenized on the chart and
-    translated, and the results are split into graded pieces.  Off the branch
+    pivot coordinate is 1.  Each form is dehomogenized by dropping the pivot
+    exponent, then moved by ``translate_origin``'s per-variable Taylor
+    shifts, and the results are split into graded pieces.  Off the branch
     locus the localized branch form is rescaled to take the value 1 at the
     origin.
     """
@@ -387,16 +390,13 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
         raise LocalizationError("the point does not lie on the base hypersurface")
 
     zring = chart_ring(fam, domain)
-    images = []
-    k = 0
-    for j in range(ring.nvars):
-        if j == pivot:
-            images.append(zring.one())
-        else:
-            images.append(zring.const(normalized[j]) + zring.gen(k))
-            k += 1
-    localized_base = instance.base_form.substitute(images)
-    localized_branch = branch_form.substitute(images)
+    affine = normalized[:pivot] + normalized[pivot + 1 :]
+    localized_base = translate_origin(
+        _dehomogenize(instance.base_form, pivot, zring), affine
+    )
+    localized_branch = translate_origin(
+        _dehomogenize(branch_form, pivot, zring), affine
+    )
 
     base_parts = homogeneous_components(localized_base)
     if 0 in base_parts:
@@ -424,6 +424,17 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
         branch_pieces=branch_pieces,
         on_branch=on_branch,
         branch_scale=branch_scale,
+    )
+
+
+def _dehomogenize(F: Polynomial, pivot: int, zring: PolyRing) -> Polynomial:
+    """F at x_pivot = 1, the other coordinates renamed to the chart's.
+
+    On a homogeneous form the pivot exponent is the degree minus the other
+    exponents, so dropping it maps distinct terms to distinct terms.
+    """
+    return Polynomial(
+        zring, {exps[:pivot] + exps[pivot + 1 :]: c for exps, c in F.terms.items()}
     )
 
 
@@ -1028,25 +1039,27 @@ def sample_point_off_branch(
     p = field.p
     fam = instance.family
     nvars = instance.ring.nvars
-    line_ring = ring_over(("s",), field)
+    m = fam.base_degree
+    padding = (0,) * (m - 1)
     for attempt in range(budget):
         rng = Rng(derive_seed(seed, trial=attempt, purpose=PURPOSE_POINT_OFF))
         anchor = tuple(rng.below(p) for _ in range(nvars))
         direction = tuple(rng.below(p) for _ in range(nvars))
         if all(c == 0 for c in direction):
             continue
-        images = [
-            line_ring.const(a) + line_ring.const(d) * line_ring.gen(0)
-            for a, d in zip(anchor, direction)
-        ]
-        restricted = instance.base_form.substitute(images)
+        # The restriction to the line a + d·t has degree m, so composing at
+        # t^m is exact.
+        restricted = compose_series(
+            instance.base_form,
+            [TruncatedSeries(field, (a, d) + padding) for a, d in zip(anchor, direction)],
+            m,
+        )
         if restricted.is_zero():
             continue
-        coeffs = [
-            restricted.coefficient((j,)) for j in range(restricted.degree() + 1)
-        ]
         roots = poly1_roots(
-            coeffs, p, seed=derive_seed(seed, trial=attempt, purpose=PURPOSE_ROOT_SPLIT)
+            restricted.coeffs,
+            p,
+            seed=derive_seed(seed, trial=attempt, purpose=PURPOSE_ROOT_SPLIT),
         )
         for r in roots:
             candidate = tuple(

@@ -551,11 +551,43 @@ def compose(F: Polynomial, images: Sequence, one):
 
 
 def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:
-    """F(z + point): move ``point`` to the origin of the coordinates."""
+    """F(z + point): move ``point`` to the origin of the coordinates.
+
+    One Taylor shift per variable with a nonzero shift c (von zur Gathen &
+    Gerhard 1997, "Fast algorithms for Taylor shifts and certain difference
+    equations"): every term's power z_i^e expands as
+    (z_i + c)^e = Σ_k C(e,k)·c^(e−k)·z_i^k into one dict.  The sums run on
+    the domain's plain ``+`` and ``*`` and are made canonical once per shift.
+    Weights play no part, and no generic product is formed.
+    """
     ring = F.ring
     if len(point) != ring.nvars:
         raise ValueError("point has wrong arity")
-    return F.substitute([ring.gen(i) + ring.const(c) for i, c in enumerate(point)])
+    domain = ring.domain
+    terms = F.terms
+    for i, c in enumerate(point):
+        c = domain.of(c)
+        if domain.is_zero(c):
+            continue
+        rows: dict = {}  # e -> [C(e,k)·c^(e−k) for k = 0..e]
+        powers = [domain.one]
+        shifted: dict = {}
+        for exps, coeff in terms.items():
+            e = exps[i]
+            row = rows.get(e)
+            if row is None:
+                while len(powers) <= e:
+                    powers.append(domain.mul(powers[-1], c))
+                row = rows[e] = [
+                    domain.mul(domain.of(math.comb(e, k)), powers[e - k])
+                    for k in range(e + 1)
+                ]
+            head, tail = exps[:i], exps[i + 1 :]
+            for k, factor in enumerate(row):
+                key = head + (k,) + tail
+                shifted[key] = shifted.get(key, 0) + coeff * factor
+        terms = {exps: domain.of(value) for exps, value in shifted.items()}
+    return Polynomial(ring, terms)
 
 
 def vanishing_order(F: Polynomial, point: Sequence):

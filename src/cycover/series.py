@@ -10,6 +10,15 @@ Two closely related expansions live here:
 
 All arithmetic is exact (rationals or a prime field); truncation order is
 explicit everywhere and results never claim precision beyond it.
+
+Composing a polynomial with series (``compose_series``) runs through
+``poly.compose`` in one of two algebras.  Over Q the images are
+``TruncatedSeries``.  Over GF(p) each series is packed into one Python int,
+w bits per coefficient (Kronecker substitution; Harvey 2009, "Faster
+polynomial multiplication via multipoint Kronecker substitution"): a
+product is one big-int product masked to the low N + 1 slots, and the
+result is reduced mod p once, when it is unpacked.  ``_slot_bytes`` states
+the width that keeps every slot exact.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from typing import Mapping, Optional, Sequence
 from .poly import (
     Domain,
     Polynomial,
+    PrimeField,
     compose,
     homogeneous_component,
     poly_mul_truncated,
@@ -110,16 +120,51 @@ def _pow_truncated(F: Polynomial, e: int, bound: int) -> Polynomial:
 def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
     """Homogeneous pieces Φ_1..Φ_N of (1 + Σ w_j)^(1/K).
 
-    Computed degree by degree: with R_i = 1 + Φ_1 + ... + Φ_i, the degree-i
-    piece of R_i^K must match that of 1 + Σ w_j, which forces
-    Φ_i = [ (1+Σw) − R_{i−1}^K ]_i / K.  Each returned piece is homogeneous
-    of degree exactly i (or zero).
+    With P = (1 + W)^(1/K) and E the (weighted) Euler operator,
+    K·(1 + W)·E(P) = P·E(W); its degree-i piece is the recurrence
+    K·i·Φ_i = Σ_{b=1..i} (b − K(i−b))·Φ_{i−b}·w_b with Φ_0 = 1, one
+    homogeneous product per (i, b).  It needs K·i invertible for every
+    i ≤ N, so in characteristic p ≤ N the pieces come from
+    ``_phi_by_powering`` instead.  Each returned piece is homogeneous of
+    degree exactly i (or zero).
     """
     if K < 2:
         raise ValueError("root index must be at least 2")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     g = _sum_with_one(w)
+    ring = g.ring
+    domain = ring.domain
+    if domain.characteristic and domain.characteristic <= N:
+        return _phi_by_powering(g, K, N)
+    phis = [ring.one()]
+    for i in range(1, N + 1):
+        total: dict = {}
+        for b in range(1, min(i, len(w)) + 1):
+            factor = b - K * (i - b)
+            if not factor:
+                continue
+            factor = domain.of(factor)
+            for e2, c2 in w[b - 1].terms.items():
+                c2 = domain.mul(c2, factor)
+                for e1, c1 in phis[i - b].terms.items():
+                    key = tuple(x + y for x, y in zip(e1, e2))
+                    total[key] = total.get(key, 0) + c1 * c2
+        scale = domain.inv(domain.of(K * i))
+        phis.append(
+            Polynomial(
+                ring,
+                {e: domain.mul(domain.of(c), scale) for e, c in total.items()},
+            )
+        )
+    return phis[1:]
+
+
+def _phi_by_powering(g: Polynomial, K: int, N: int) -> list:
+    """Φ_1..Φ_N for g = 1 + Σ w_j, degree by degree: with
+    R_i = 1 + Φ_1 + ... + Φ_i, the degree-i piece of R_i^K must match that
+    of g, which forces Φ_i = [g − R_{i−1}^K]_i / K.  Needs only K
+    invertible."""
     ring = g.ring
     domain = ring.domain
     inv_K = domain.inv(domain.of(K))
@@ -288,24 +333,117 @@ def series_kth_root(c: TruncatedSeries, K: int) -> TruncatedSeries:
 # -- polynomial composition with series and formal arcs ------------------------
 
 
+def _slot_bytes(F: Polynomial, N: int) -> int:
+    """Bytes per slot that keep the packed composition of F over GF(p),
+    truncated at t^N, exact.
+
+    Nothing is reduced mod p before unpacking, so every slot holds a
+    nonnegative integer.  Image slots lie in [0, p).  One slot of a masked
+    product sums at most N + 1 products of a slot of each factor, and the
+    slots above N that the mask drops obey the same count.  So the power
+    s^e that ``compose`` builds has slots of at most (N+1)^(e−1)·(p−1)^e, and
+    a term c·s_1^e_1⋯s_k^e_k with exponent sum d, built from the first power
+    scaled by c ≤ p − 1 and then multiplied by the others, has slots of at
+    most (p−1)^(d+1)·(N+1)^max(d−1, 0).  F has T terms with exponent sums at
+    most d (T counted as at least 1, which covers the images' own slots
+    when F is zero), so every intermediate slot is at most
+    B = T·(p−1)^(d+1)·(N+1)^max(d−1, 0) < 2^w for a width w of
+    bit_length(B) + 1 bits.  No carry then crosses a slot, and masking the
+    low N + 1 slots is exact truncation.
+    """
+    p = F.ring.domain.p
+    d = max((sum(exps) for exps in F.terms), default=0)
+    bound = max(len(F.terms), 1) * (p - 1) ** (d + 1) * (N + 1) ** max(d - 1, 0)
+    return (bound.bit_length() + 1 + 7) // 8
+
+
+class _Packed:
+    """A series truncated at t^N over GF(p), packed into one unreduced int.
+
+    The algebra ``compose`` works in over GF(p): ``+`` adds slot by slot,
+    ``*`` multiplies and keeps the low N + 1 slots (``mask``), and ``scale``
+    multiplies every slot by a canonical field element.
+    """
+
+    __slots__ = ("value", "mask")
+
+    def __init__(self, value: int, mask: int):
+        self.value = value
+        self.mask = mask
+
+    def __add__(self, other: "_Packed") -> "_Packed":
+        return _Packed(self.value + other.value, self.mask)
+
+    def __mul__(self, other: "_Packed") -> "_Packed":
+        return _Packed(self.value * other.value & self.mask, self.mask)
+
+    def scale(self, scalar: int) -> "_Packed":
+        return _Packed(self.value * scalar, self.mask)
+
+
+def _compose_packed(
+    F: Polynomial, series: Sequence[TruncatedSeries], N: int
+) -> TruncatedSeries:
+    field = F.ring.domain
+    p = field.p
+    width = _slot_bytes(F, N)
+    mask = (1 << (8 * width * (N + 1))) - 1
+    images = [
+        _Packed(
+            int.from_bytes(
+                b"".join(c.to_bytes(width, "little") for c in s.coeffs[: N + 1]),
+                "little",
+            ),
+            mask,
+        )
+        for s in series
+    ]
+    packed = compose(F, images, _Packed(1, mask)).value
+    raw = packed.to_bytes(width * (N + 1), "little")
+    return TruncatedSeries(
+        field,
+        tuple(
+            int.from_bytes(raw[i : i + width], "little") % p
+            for i in range(0, len(raw), width)
+        ),
+    )
+
+
+def compose_series(
+    F: Polynomial, series: Sequence[TruncatedSeries], N: int
+) -> TruncatedSeries:
+    """F at one series per variable (in ring order), truncated at t^N.
+
+    Every series must be known through t^N and share F's domain.  Over
+    GF(p) the composition runs on packed ints (see ``_slot_bytes``); over Q
+    on ``TruncatedSeries``.
+    """
+    domain = F.ring.domain
+    if len(series) != F.ring.nvars:
+        raise ValueError("one series per variable required")
+    for s in series:
+        if s.domain != domain:
+            raise ValueError("series domain differs from coefficient domain")
+        if s.order_bound < N:
+            raise ValueError(f"series known only through t^{s.order_bound} < t^{N}")
+    if isinstance(domain, PrimeField):
+        return _compose_packed(F, series, N)
+    return compose(
+        F, [s.truncate(N) for s in series], series_constant(domain, domain.one, N)
+    )
+
+
 def poly_on_series(F: Polynomial, assignment: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """Compose F with one series per variable (keyed by variable name)."""
     ring = F.ring
-    domain = ring.domain
     series = []
     for name in ring.variables:
         if name not in assignment:
             raise ValueError(f"no series provided for variable {name}")
-        s = assignment[name]
-        if s.domain != domain:
-            raise ValueError("series domain differs from coefficient domain")
-        series.append(s)
+        series.append(assignment[name])
     if not series:
         raise ValueError("composition needs at least one variable")
-    n = min(s.order_bound for s in series)
-    return compose(
-        F, [s.truncate(n) for s in series], series_constant(domain, domain.one, n)
-    )
+    return compose_series(F, series, min(s.order_bound for s in series))
 
 
 @dataclass(frozen=True)
@@ -402,7 +540,7 @@ def arc_lift(
     is s and the remaining variables follow ``free_values``.
 
     F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k composed
-    with the free series once.  Newton iteration then solves the
+    with the free series once by ``compose_series``.  Newton iteration then solves the
     linearization at the current approximation, doubling the correct order,
     so the residual vanishes through t^N after ~log2(N) steps; one Horner
     pass in s yields both F and ∂F/∂s.  Requires the origin to lie on
@@ -419,7 +557,7 @@ def arc_lift(
             continue
         if i not in free_values:
             raise ValueError(f"missing series for variable {name}")
-        s = free_values[i].truncate(N)
+        s = free_values[i]
         if not domain.is_zero(s[0]):
             raise ValueError(f"free series for {name} must vanish at t = 0")
         images.append(s)
@@ -429,8 +567,7 @@ def arc_lift(
         while len(parts) <= k:
             parts.append({})
         parts[k][exps[:solved_var] + (0,) + exps[solved_var + 1 :]] = coeff
-    one = series_constant(domain, domain.one, N)
-    c = [compose(Polynomial(ring, part), images, one) for part in parts]
+    c = [compose_series(Polynomial(ring, part), images, N) for part in parts]
     if not domain.is_zero(c[0][0]):
         raise ValueError("the origin does not lie on the hypersurface")
     if domain.is_zero(c[1][0]):

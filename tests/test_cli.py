@@ -17,6 +17,7 @@ from cycover.report import (
     VERDICT_UNSUPPORTED,
     reports_equal_modulo_timings,
 )
+from cycover.series import TruncatedSeries
 from helpers import default_instance_text
 
 DATA = Path(__file__).parent / "data"
@@ -432,6 +433,35 @@ class TestCampaign:
         record = doc["records"][0]
         assert record["trial"] == 0
         assert set(record["seeds"]) == {"instance", "point"}
+
+    def test_arc_fault_is_inconclusive_not_refuted(self, monkeypatch, capsys):
+        # A lift that misses the base form by t fails the residual recheck
+        # of the off-branch arc.  That is an internal fault: exit 3 with the
+        # reason in the record, never a traceback with exit 1.
+        import cycover.cover
+
+        lift = cycover.cover.arc_lift
+
+        def wrong_lift(F, solved, free, N):
+            lifted = lift(F, solved, free, N)
+            domain = lifted.domain
+            coeffs = list(lifted.coeffs)
+            coeffs[1] = domain.add(coeffs[1], domain.one)
+            return TruncatedSeries(domain, tuple(coeffs))
+
+        monkeypatch.setattr(cycover.cover, "arc_lift", wrong_lift)
+        code, out, _ = run_cli(
+            ["campaign", "--family", "5,4,2,2", "--trials", "1",
+             "--points-off", "1", "--points-on", "0", "--seed", "3"],
+            capsys,
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        doc = json.loads(out)
+        record = doc["records"][0]
+        assert record["regularity"]["verdict"] == VERDICT_CERTIFIED
+        assert record["verdict"] == VERDICT_INCONCLUSIVE
+        assert record["reason"] == "lifted arc leaves a nonzero base residual"
+        assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
 
     def test_worker_count_does_not_change_report(self, capsys):
         argv = [

@@ -304,6 +304,31 @@ def test_translate_preserves_evaluation(F, point):
     assert poly_eval(shifted, (0, 0)) == poly_eval(F, point)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_translate_matches_substitution(data):
+    # The Taylor shifts against the generic composition F(z + c), on
+    # weighted rings, with zero shifts mixed in.
+    ring = data.draw(st.sampled_from([RW, RWP]))
+    F = data.draw(poly_strategy(ring, max_exp=4, max_terms=6))
+    shift = COEFFS if ring is RW else st.integers(0, 100)
+    point = data.draw(st.tuples(*(shift | st.just(0) for _ in range(3))))
+    images = [ring.gen(i) + ring.const(c) for i, c in enumerate(point)]
+    assert translate_origin(F, point) == F.substitute(images)
+
+
+@pytest.mark.parametrize("ring", [RW, RWP], ids=["QQ", "GF101"])
+def test_translate_edge_cases_match_substitution(ring):
+    u, v, w = ring.gens()
+    F = u**3 * w + (v**2).scale(Fraction(2, 3)) - w.scale(5) + ring.const(7)
+    for G in (ring.zero(), ring.const(4), F):
+        for point in ((0, 0, 0), (0, 3, 0), (1, -1, Fraction(1, 2))):
+            images = [ring.gen(i) + ring.const(c) for i, c in enumerate(point)]
+            assert translate_origin(G, point) == G.substitute(images)
+    assert translate_origin(ring.zero(), (1, 2, 3)).is_zero()
+    assert translate_origin(F, (0, 0, 0)) == F
+
+
 @settings(max_examples=40, deadline=None)
 @given(poly_strategy(R2), poly_strategy(R2), st.integers(0, 6))
 def test_truncated_product_matches_truncation(F, G, bound):

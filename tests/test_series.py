@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycover.poly import Polynomial, PrimeField, QQ, ring_over, vanishing_order
+from cycover.poly import (
+    Polynomial,
+    PrimeField,
+    QQ,
+    monomials_of_degree,
+    random_homogeneous,
+    ring_over,
+    truncate_degree,
+    vanishing_order,
+)
 from cycover.series import (
     Arc,
     GammaTable,
@@ -142,6 +151,38 @@ class TestPhi:
         g = ring.one() + z1 + z2**2
         root = truncated_kth_root(w, 2, 4)
         assert vanishing_order(root**2 - g, (0, 0)) >= 5
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [QQ, PrimeField(3), PrimeField(5), GF101],
+    ids=["QQ", "GF3", "GF5", "GF101"],
+)
+def test_phi_routes_match_the_defining_identity(domain):
+    # Characteristic 0 or p > N takes the Euler-operator recurrence; p ≤ N
+    # (GF(3) from N = 3, GF(5) from N = 5) takes the powering route.  Either
+    # way the partial root's K-th power must match 1 + Σ w_j through degree
+    # N, and where both routes apply they must agree.
+    from cycover.series import _phi_by_powering, _pow_truncated
+
+    ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
+    p = domain.characteristic
+    for K in (2, 3, 4):
+        if p and K % p == 0:
+            continue
+        w = [random_homogeneous(ring, j, 97 * K + j) for j in range(1, 5)]
+        g = ring.one()
+        for piece in w:
+            g = g + piece
+        for N in range(1, 7):
+            phis = phi_polynomials(w, K, N)
+            root = ring.one()
+            for i, phi in enumerate(phis, start=1):
+                assert phi.is_zero() or (phi.is_homogeneous() and phi.degree() == i)
+                root = root + phi
+            assert _pow_truncated(root, K, N) == truncate_degree(g, N)
+            if not p or p > N:
+                assert phis == _phi_by_powering(g, K, N)
 
 
 class TestTruncateF:
@@ -372,6 +413,24 @@ def test_root_identity_random_collections(seed, K, k):
 
 NAMES3 = ("a", "b", "c")
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+# GF(2) and GF(3) give the narrowest slots of the packed kernel, the
+# Mersenne primes the widest; GF(101) is the reference small field.
+KERNEL_DOMAINS = [
+    QQ,
+    PrimeField(2),
+    PrimeField(3),
+    GF101,
+    PrimeField(2**31 - 1),
+    PrimeField(2**61 - 1),
+]
+
+
+def _elements(domain):
+    """Field elements: small fractions over Q, any residue (and the largest,
+    p − 1, often) over GF(p)."""
+    if domain == QQ:
+        return SMALL
+    return st.integers(0, domain.p - 1) | st.just(domain.p - 1)
 
 
 def _series(domain, values):
@@ -381,18 +440,19 @@ def _series(domain, values):
 @st.composite
 def _polynomial(draw, ring, max_exp=4, max_terms=6):
     exps = st.tuples(*(st.integers(0, max_exp) for _ in range(ring.nvars)))
-    terms = draw(st.dictionaries(exps, SMALL, max_size=max_terms))
+    terms = draw(st.dictionaries(exps, _elements(ring.domain), max_size=max_terms))
     return Polynomial(ring, {e: ring.domain.of(c) for e, c in terms.items()})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_composition_matches_term_by_term_oracle(data):
-    domain = data.draw(st.sampled_from([QQ, GF101]))
+    domain = data.draw(st.sampled_from(KERNEL_DOMAINS))
     ring = ring_over(NAMES3, domain)
     Fpoly = data.draw(_polynomial(ring))
+    elements = _elements(domain)
     assignment = {
-        name: _series(domain, data.draw(st.lists(SMALL, min_size=1, max_size=7)))
+        name: _series(domain, data.draw(st.lists(elements, min_size=1, max_size=7)))
         for name in NAMES3
     }
     assert poly_on_series(Fpoly, assignment) == poly_on_series_by_terms(Fpoly, assignment)
@@ -421,21 +481,40 @@ def test_composition_edge_cases_match_oracle(domain):
     assert poly_on_series(ring.const(7), assignment) == series_constant(domain, 7, 5)
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize(
+    "p", [2, 3, 101, 2**31 - 1, 2**61 - 1], ids=["2", "3", "101", "2^31-1", "2^61-1"]
+)
+def test_packed_composition_worst_case(p):
+    # Every coefficient of F and of the series is p − 1 and F has every
+    # monomial of exponent sum at most 3: the slots come within a byte of
+    # the width bound, so a slot one byte narrower carries and this fails.
+    field = PrimeField(p)
+    ring = ring_over(NAMES3, field)
+    exps = [e for d in range(4) for e in monomials_of_degree(ring, d)]
+    Fpoly = Polynomial(ring, {e: p - 1 for e in exps})
+    assignment = {name: _series(field, [p - 1] * 9) for name in NAMES3}
+    assert len(Fpoly) == 20
+    assert poly_on_series(Fpoly, assignment) == poly_on_series_by_terms(Fpoly, assignment)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_arc_lift_matches_recomposing_newton(data):
-    domain = data.draw(st.sampled_from([QQ, GF101]))
+    domain = data.draw(st.sampled_from(KERNEL_DOMAINS))
     ring = ring_over(NAMES3, domain)
+    elements = _elements(domain)
     solved = data.draw(st.integers(0, 2))
     N = data.draw(st.integers(1, 10))
     Fpoly = data.draw(_polynomial(ring, max_exp=3))
     Fpoly = Fpoly - ring.const(Fpoly.constant_coefficient())
-    slope = domain.of(data.draw(SMALL.filter(bool)))
+    slope = domain.of(
+        data.draw(elements.filter(lambda v: not domain.is_zero(domain.of(v))))
+    )
     exps = [0, 0, 0]
     exps[solved] = 1
     Fpoly = Fpoly + ring.monomial(exps, domain.sub(slope, Fpoly.coefficient(exps)))
     free = {
-        i: _series(domain, [0] + data.draw(st.lists(SMALL, min_size=N, max_size=N)))
+        i: _series(domain, [0] + data.draw(st.lists(elements, min_size=N, max_size=N)))
         for i in range(3)
         if i != solved
     }
