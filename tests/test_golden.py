@@ -4,8 +4,11 @@ Each committed file is a report with its timing keys stripped
 (``report.without_timings``).  Any change to a verdict, seed, count,
 point or digest shows up here; a refactoring must leave both unchanged.
 
-To rewrite the copies after an intended change of output:
-``PYTHONPATH=src python tests/test_golden.py``.
+To rewrite named copies after an intended change of output:
+``PYTHONPATH=src python tests/test_golden.py NAME...``, where each NAME is
+a file name under ``tests/data`` listed in ``GOLDEN``.  Only the named
+copies are rewritten, so a golden that changed by accident is never
+overwritten along with the intended ones.
 """
 
 import json
@@ -65,6 +68,12 @@ LARGE_PRIME_CAMPAIGN_ARGS = [
     "--points-off", "1", "--points-on", "0", "--seed", "3",
     "--prime", "2305843009213693951",
 ]
+# K = 3 over GF(13), where only a third of the nonzero residues are cubes:
+# three on-branch point-checks per trial, each drawing five arcs.
+CUBE_SMALL_PRIME_CAMPAIGN_ARGS = [
+    "campaign", "--family", "5,2,2,3", "--trials", "2",
+    "--points-off", "0", "--points-on", "3", "--prime", "13", "--seed", "2",
+]
 
 GOLDEN = {
     "campaign-5422-seed7.json": CAMPAIGN_ARGS,
@@ -76,6 +85,7 @@ GOLDEN = {
     "parse-prime-101.json": PARSE_ARGS + ["--prime", "101"],
     "campaign-5422-p17-seed3.json": SMALL_PRIME_CAMPAIGN_ARGS,
     "campaign-5422-p2e61-seed3.json": LARGE_PRIME_CAMPAIGN_ARGS,
+    "campaign-5223-p13-seed2.json": CUBE_SMALL_PRIME_CAMPAIGN_ARGS,
 }
 
 
@@ -101,9 +111,23 @@ def test_report_matches_golden(name, tmp_path):
     assert stripped_report(GOLDEN[name], tmp_path) == expected
 
 
-if __name__ == "__main__":
+def main(names) -> int:
+    unknown = [name for name in names if name not in GOLDEN]
+    if not names or unknown:
+        if unknown:
+            print(f"unknown golden: {', '.join(unknown)}", file=sys.stderr)
+        print(
+            "usage: test_golden.py NAME...; names: " + " ".join(sorted(GOLDEN)),
+            file=sys.stderr,
+        )
+        return 2
     DATA.mkdir(exist_ok=True)
-    for name, args in GOLDEN.items():
+    for name in names:
         with tempfile.TemporaryDirectory() as scratch:
-            (DATA / name).write_text(stripped_report(args, Path(scratch)))
+            (DATA / name).write_text(stripped_report(GOLDEN[name], Path(scratch)))
         print(f"wrote {DATA / name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
