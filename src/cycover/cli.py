@@ -359,10 +359,10 @@ def check_point(
             for arc_index in range(options.arc_count)
         ]
     except (SampleBudgetError, ArithmeticError) as error:
-        # e.g. over Q on the branch locus, where an arc needs an exact
-        # rational K-th root of a random constant; or an internal fault
-        # such as a lifted arc that fails its residual recheck, which
-        # leaves the point unresolved rather than refuted.
+        # e.g. 64 on-branch draws whose branch order K*shift all had
+        # gcd(shift, K) > 1; or an internal fault such as a lifted arc that
+        # fails its residual recheck, which leaves the point unresolved
+        # rather than refuted.
         record["reason"] = str(error)
         record["verdict"] = worst_verdict(verdicts + [VERDICT_INCONCLUSIVE])
         record["seconds"] = time.perf_counter() - start

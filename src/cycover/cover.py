@@ -21,16 +21,14 @@ z1, z2, ...; the normalized cover coordinate on a chart is y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .family import CoverFamily, FamilyConstraintError, validate_family
 from .modular import (
     det_mod,
     is_kth_power_residue,
-    kth_root_mod,
     lagrange_interpolate,
-    poly1_eval,
     poly1_roots,
     working_prime,
 )
@@ -150,6 +148,7 @@ class CoverInstance:
     by ``base_form``.  A *generalized* instance instead records the K
     coefficient forms of a general degree-K cover equation; such instances
     are carried for bookkeeping but every analysis operation refuses them.
+    Over GF(p) the prime must not divide K.
     """
 
     family: CoverFamily
@@ -167,6 +166,13 @@ class CoverInstance:
             )
         if any(w != 1 for w in ring.weights):
             raise ValueError("ambient coordinates must all have weight 1")
+        p = ring.domain.characteristic
+        if p and fam.cover_degree % p == 0:
+            # K-th roots of series and the root pieces Φ_i divide by K.
+            raise ValueError(
+                f"the prime {p} divides the cover degree K = {fam.cover_degree}; "
+                f"the cover needs K invertible mod p"
+            )
         _require_form(self.base_form, fam.base_degree, "base form")
         if (self.branch_form is None) == (self.generalized_forms is None):
             raise ValueError(
@@ -436,39 +442,6 @@ def _dehomogenize(F: Polynomial, pivot: int, zring: PolyRing) -> Polynomial:
     return Polynomial(
         zring, {exps[:pivot] + exps[pivot + 1 :]: c for exps, c in F.terms.items()}
     )
-
-
-def _integer_kth_root(n: int, k: int) -> Optional[int]:
-    """Exact nonnegative k-th root of n >= 0, or None."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1):
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x ** k == n else None
-
-
-def _scalar_kth_root(domain, value, k: int):
-    """A k-th root of a nonzero scalar in the domain, or None."""
-    if isinstance(domain, PrimeField):
-        if (domain.p - 1) % k != 0:
-            return None
-        return kth_root_mod(value, k, domain.p)
-    value = Fraction(value)
-    negative = value < 0
-    if negative and k % 2 == 0:
-        return None
-    num = _integer_kth_root(abs(value.numerator), k)
-    den = _integer_kth_root(value.denominator, k)
-    if num is None or den is None:
-        return None
-    root = Fraction(num, den)
-    return -root if negative else root
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +760,18 @@ def _random_cover_compatible_series(domain, rng: Rng, K: int, N: int) -> Truncat
 
 
 def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
-    """On-branch arcs: chart components are series in t^K, so the composed
-    branch form has order divisible by K and a K-th root can be split off as
-    an exact monomial shift times a unit root.
+    """On-branch arcs: chart components are series in u = t^K, so the
+    composed branch form has order e = K*shift and a K-th root splits off as
+    t^shift times a unit root.
+
+    The leading constant c of the composed branch form need not be a K-th
+    power.  When gcd(shift, K) = 1, pick a with a*shift = -1 (mod K) and
+    replace u by c^a * u, which scales the t^(jK) coefficient of every
+    chart component by c^(aj).  The leading constant becomes c^(1 + a*shift),
+    whose K-th root c^((1 + a*shift)/K) is known in any field.  Over an
+    extension this is the reparametrization t -> c^(a/K) * t, so vanishing
+    orders along the arc do not change.  Only gcd(shift, K) > 1, which needs
+    the t^K coefficient of the branch form along the arc to vanish, redraws.
 
     The construction works at the inflated internal bound K*N so that the
     cover component is honestly determined through t^N even after the shift.
@@ -832,12 +814,23 @@ def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
                     "cover degree"
                 )
             shift = e // K
+            if gcd(shift, K) != 1:
+                continue  # no a solves a*shift = -1 (mod K); redraw the arc
+            lead = composed_branch[e]
+            a = -pow(shift, -1, K) % K
+            root_constant = domain.pow(lead, (1 + a * shift) // K)
+            powers = [domain.pow(lead, a * j) for j in range(N + 1)]
+            components = {
+                name: TruncatedSeries(
+                    domain,
+                    tuple(domain.mul(c, powers[j // K]) for j, c in enumerate(s.coeffs)),
+                )
+                for name, s in components.items()
+            }
+            # Composed afresh, so the residual below checks the rescaled arc.
+            composed_branch = poly_on_series(chart.localized_branch, components)
             unit = TruncatedSeries(domain, composed_branch.coeffs[e:])
-            constant = unit[0]
-            root_constant = _scalar_kth_root(domain, constant, K)
-            if root_constant is None:
-                continue  # not a K-th power residue; redraw the arc
-            normalized = unit.scale(domain.inv(constant))
+            normalized = unit.scale(domain.inv(unit[0]))
             v = series_kth_root(normalized, K).scale(root_constant)
             y = TruncatedSeries(
                 domain, (domain.zero,) * shift + v.coeffs[: N + 1 - shift]
@@ -853,8 +846,8 @@ def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
         truncated[COVER_VARIABLE] = y
         return Arc(truncated, {"base": N + 1, "cover": N + 1})
     raise SampleBudgetError(
-        "no cover-compatible arc found in 64 attempts (the branch values "
-        "kept falling outside the K-th powers)"
+        "no cover-compatible arc found in 64 attempts (the branch order "
+        "along every arc shared a factor with the cover degree)"
     )
 
 
@@ -1024,6 +1017,21 @@ def _require_sampling_field(
     return domain
 
 
+def _line_restriction(
+    F: Polynomial, degree: int, anchor: Sequence, direction: Sequence
+) -> tuple:
+    """Coefficients of F(anchor + t*direction) in t, ascending, for a form
+    F of the given degree over GF(p) and canonical coordinates.
+
+    The restriction has degree at most that of F, so composing at that
+    order is exact.
+    """
+    field = F.ring.domain
+    padding = (0,) * (degree - 1)
+    lines = [TruncatedSeries(field, (a, d) + padding) for a, d in zip(anchor, direction)]
+    return compose_series(F, lines, degree).coeffs
+
+
 def sample_point_off_branch(
     instance: CoverInstance, seed: int, budget: int = 64
 ) -> tuple:
@@ -1040,24 +1048,17 @@ def sample_point_off_branch(
     fam = instance.family
     nvars = instance.ring.nvars
     m = fam.base_degree
-    padding = (0,) * (m - 1)
     for attempt in range(budget):
         rng = Rng(derive_seed(seed, trial=attempt, purpose=PURPOSE_POINT_OFF))
         anchor = tuple(rng.below(p) for _ in range(nvars))
         direction = tuple(rng.below(p) for _ in range(nvars))
         if all(c == 0 for c in direction):
             continue
-        # The restriction to the line a + d·t has degree m, so composing at
-        # t^m is exact.
-        restricted = compose_series(
-            instance.base_form,
-            [TruncatedSeries(field, (a, d) + padding) for a, d in zip(anchor, direction)],
-            m,
-        )
-        if restricted.is_zero():
+        restricted = _line_restriction(instance.base_form, m, anchor, direction)
+        if not any(restricted):
             continue
         roots = poly1_roots(
-            restricted.coeffs,
+            restricted,
             p,
             seed=derive_seed(seed, trial=attempt, purpose=PURPOSE_ROOT_SPLIT),
         )
@@ -1080,24 +1081,11 @@ def sample_point_off_branch(
     )
 
 
-def _bivariate_coefficients(F: Polynomial, degree: int) -> list:
-    """Coefficient lists in the first variable, indexed by the power of the
-    second, padded to the stated degree."""
-    out = [[] for _ in range(degree + 1)]
-    for (es, er), c in F.terms.items():
-        col = out[er]
-        while len(col) <= es:
-            col.append(0)
-        col[es] = c
-    return [col or [0] for col in out]
-
-
-def _sylvester_determinant_at(
-    f_cols: list, g_cols: list, m: int, n: int, x: int, p: int
-) -> int:
-    """Sylvester resultant determinant with the first variable evaluated."""
-    f_vals = [poly1_eval(col, x, p) for col in f_cols]
-    g_vals = [poly1_eval(col, x, p) for col in g_cols]
+def _sylvester_determinant(f_vals: Sequence[int], g_vals: Sequence[int], p: int) -> int:
+    """Sylvester resultant determinant of two univariate polynomials given by
+    ascending coefficient lists of their full degrees m and n."""
+    m = len(f_vals) - 1
+    n = len(g_vals) - 1
     size = m + n
     rows = []
     for shift in range(n):
@@ -1118,9 +1106,10 @@ def sample_point_on_branch(
 ) -> tuple:
     """A random point lying on both the base hypersurface and the branch locus.
 
-    Draws random affine 2-planes, eliminates one plane coordinate through the
-    Sylvester resultant of the two restricted forms (evaluated at enough
-    points and interpolated), solves for the other coordinate, and
+    Draws random affine 2-planes a + s*c + r*d, eliminates s through the
+    Sylvester resultant in r of the two restricted forms (evaluated at
+    enough nodes s = x, each a line restriction at anchor a + x*c and
+    direction d, and interpolated), solves for r on each root slice, and
     re-verifies every candidate against both forms.
     """
     branch_form = instance.require_plain("on-branch sampling")
@@ -1128,42 +1117,38 @@ def sample_point_on_branch(
     p = field.p
     fam = instance.family
     nvars = instance.ring.nvars
+    base_form = instance.base_form
     m = fam.base_degree
     n = fam.branch_degree
-    plane_ring = ring_over(("s", "r"), field)
-    s_gen, r_gen = plane_ring.gens()
+    nodes = range(m * n + 1)
     for attempt in range(budget):
         rng = Rng(derive_seed(seed, trial=attempt, purpose=PURPOSE_POINT_ON))
         anchor = tuple(rng.below(p) for _ in range(nvars))
         first = tuple(rng.below(p) for _ in range(nvars))
         second = tuple(rng.below(p) for _ in range(nvars))
-        images = [
-            plane_ring.const(a) + plane_ring.const(c) * s_gen + plane_ring.const(d) * r_gen
-            for a, c, d in zip(anchor, first, second)
-        ]
-        f_plane = instance.base_form.substitute(images)
-        g_plane = branch_form.substitute(images)
-        if f_plane.is_zero() or g_plane.is_zero():
+        # F(d) and G(d) lead in r on every slice; a zero one degenerates.
+        if poly_eval(base_form, second) == 0 or poly_eval(branch_form, second) == 0:
             continue
-        f_cols = _bivariate_coefficients(f_plane, m)
-        g_cols = _bivariate_coefficients(g_plane, n)
-        if all(c == 0 for c in f_cols[m]) or all(c == 0 for c in g_cols[n]):
-            continue  # degenerate leading coefficient; redraw the plane
-        bound = m * n
-        xs = list(range(bound + 1))
+
+        def slice_at(F: Polynomial, degree: int, x: int) -> tuple:
+            at = tuple((a + x * c) % p for a, c in zip(anchor, first))
+            return _line_restriction(F, degree, at, second)
+
         ys = [
-            _sylvester_determinant_at(f_cols, g_cols, m, n, x, p) for x in xs
+            _sylvester_determinant(
+                slice_at(base_form, m, x), slice_at(branch_form, n, x), p
+            )
+            for x in nodes
         ]
         if all(v == 0 for v in ys):
             continue  # the restricted curves share a component; redraw
-        resultant = lagrange_interpolate(xs, ys, p)
+        resultant = lagrange_interpolate(list(nodes), ys, p)
         s_roots = poly1_roots(
             resultant, p, seed=derive_seed(seed, trial=attempt, point=1, purpose=PURPOSE_ROOT_SPLIT)
         )
         for s0 in s_roots:
-            f_slice = [poly1_eval(col, s0, p) for col in f_cols]
             r_roots = poly1_roots(
-                f_slice,
+                slice_at(base_form, m, s0),
                 p,
                 seed=derive_seed(seed, trial=attempt, point=2, purpose=PURPOSE_ROOT_SPLIT),
             )
@@ -1174,7 +1159,7 @@ def sample_point_on_branch(
                 )
                 if all(v == 0 for v in candidate):
                     continue
-                if poly_eval(instance.base_form, candidate) != 0:
+                if poly_eval(base_form, candidate) != 0:
                     continue
                 if poly_eval(branch_form, candidate) != 0:
                     continue

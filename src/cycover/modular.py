@@ -1,4 +1,5 @@
-"""Number theory over prime fields: primes, K-th roots, univariate roots.
+"""Number theory over prime fields: primes, K-th power residues, univariate
+roots.
 
 Everything here works with plain Python ints.  Univariate polynomials over
 F_p are coefficient lists in ascending degree order with no trailing zeros;
@@ -7,7 +8,7 @@ the empty list is the zero polynomial.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .seeds import Rng
 
@@ -45,8 +46,8 @@ def working_prime(cover_deg: int, floor: int = DEFAULT_PRIME_FLOOR) -> int:
     """Smallest prime p >= floor with p = 1 (mod cover_deg).
 
     The congruence guarantees F_p contains all cover_deg-th roots of unity,
-    so K-th power residues form an index-K subgroup and K-th roots can be
-    extracted whenever they exist.
+    so the nonzero K-th power residues form an index-K subgroup, which
+    ``is_kth_power_residue`` tests with one exponentiation.
     """
     if cover_deg < 1:
         raise ValueError("cover degree must be positive")
@@ -62,20 +63,6 @@ def is_kth_power_residue(a: int, k: int, p: int) -> bool:
     if a == 0:
         return False
     return pow(a, (p - 1) // k, p) == 1
-
-
-def kth_root_mod(a: int, k: int, p: int) -> Optional[int]:
-    """The least k-th root of a mod p, or None if a is not a k-th power.
-
-    Requires p = 1 (mod k).  The root is the least root of X^k - a in F_p.
-    """
-    if p % k != 1:
-        raise ValueError(f"prime {p} is not 1 mod {k}")
-    a %= p
-    if a == 0:
-        return 0
-    roots = poly1_roots([p - a] + [0] * (k - 1) + [1], p)
-    return roots[0] if roots else None
 
 
 # -- univariate polynomials over F_p (ascending coefficient lists) ------------

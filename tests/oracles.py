@@ -7,8 +7,6 @@ library by other means, so a test can compare the two:
   Buchberger completion — decides whether the origin is an isolated point
   of a zero set, as the Macaulay rank certificate in ``cycover.regseq``
   does for homogeneous ideals;
-* K-th roots mod p through a primitive root and a discrete logarithm, as
-  against the root finding behind ``cycover.modular.kth_root_mod``;
 * polynomials composed with series term by term, each exponent powered on
   its own, as against the power-caching ``cycover.poly.compose``;
 * the Newton lift that composes F and ∂F/∂s on every step, as against
@@ -156,74 +154,6 @@ def origin_isolated_by_saturation(
     return any(
         not domain.is_zero(g.constant_coefficient()) for g in saturated.generators
     )
-
-
-# -- K-th roots mod p by discrete logarithm ------------------------------------
-
-
-def factorize(n: int) -> dict:
-    """Prime factorization by trial division (intended for n up to ~1e12)."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    factors: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def primitive_root(p: int) -> int:
-    """Least primitive root modulo a prime p."""
-    if p == 2:
-        return 1
-    prime_divisors = list(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
-            return g
-    raise ArithmeticError(f"no primitive root found mod {p}")
-
-
-def discrete_log(base: int, target: int, p: int) -> int:
-    """x with base^x = target (mod p), by baby-step giant-step.
-
-    Assumes base generates the full multiplicative group (order p-1).
-    """
-    base %= p
-    target %= p
-    if target == 0:
-        raise ValueError("discrete log of zero")
-    order = p - 1
-    step = int(order**0.5) + 1
-    baby = {}
-    value = 1
-    for j in range(step):
-        baby.setdefault(value, j)
-        value = value * base % p
-    giant = pow(base, (p - 1 - step) % (p - 1), p)  # base^(-step)
-    gamma = target
-    for i in range(step + 1):
-        if gamma in baby:
-            return (i * step + baby[gamma]) % order
-        gamma = gamma * giant % p
-    raise ArithmeticError("discrete log not found; base is not a generator")
-
-
-def kth_root_by_discrete_log(a: int, k: int, p: int) -> Optional[int]:
-    """g^(L/k) for the least primitive root g and L the discrete log of a,
-    or None when k does not divide L (a is not a k-th power)."""
-    a %= p
-    if a == 0:
-        return 0
-    g = primitive_root(p)
-    log = discrete_log(g, a, p)
-    if log % k != 0:
-        return None
-    return pow(g, log // k, p)
 
 
 # -- composition with series and Newton lifting, term by term ------------------

@@ -44,9 +44,9 @@ g2 = x0^4 + x1^4
 """
 
 
-# On the branch at (1:0:...:0), with a regular R2 sequence.  Every arc's
-# leading branch constant is 101 times an integer below 101, never a
-# rational square, so no on-branch arc exists over Q.
+# On the branch at (1:0:...:0), with a regular R2 sequence.  A drawn arc's
+# leading branch constant is 101 times a small rational, never a rational
+# square, so the arc's parameter is rescaled instead.
 RATIONAL_ON_BRANCH_FILE = """\
 M = 5
 m = 4
@@ -54,6 +54,17 @@ l = 2
 K = 2
 f = x0^3*x1 + x0^2*x2^2 + x0*x3^3 + x4^4 + x5^4 + x6^4
 g = 101*x0^3*x5 + 101*x0^2*x6^2 + 101*x1^4 + 101*x2^4 + 101*x3^4 + 101*x4^4
+"""
+
+
+# A K = 3 cover through the off-branch point (1:0:...:0).
+CUBIC_FILE = """\
+M = 5
+m = 2
+l = 2
+K = 3
+f = x0*x1 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2
+g = x0^6 + x1^6 + x2^6 + x3^6 + x4^6 + x5^6 + x6^6
 """
 
 
@@ -318,22 +329,50 @@ class TestCertify:
         assert code == cli.EXIT_INPUT_ERROR
         assert "1 mod 3" in err
 
-    def test_rational_on_branch_without_arcs_is_inconclusive(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "arc_flags",
+        [["--arc-count", "1", "--arc-order", "2"], []],
+        ids=["one-short-arc", "default-arcs"],
+    )
+    def test_rational_on_branch_certifies(self, arc_flags, tmp_path, capsys):
         path = tmp_path / "rational-on-branch.inst"
         path.write_text(RATIONAL_ON_BRANCH_FILE)
         code, out, err = run_cli(
-            ["certify", str(path), "--point", "1,0,0,0,0,0,0",
-             "--arc-count", "1", "--arc-order", "2"],
+            ["certify", str(path), "--point", "1,0,0,0,0,0,0"] + arc_flags,
             capsys,
         )
-        assert code == cli.EXIT_INCONCLUSIVE
+        assert code == cli.EXIT_CERTIFIED
         assert err == ""
         record = json.loads(out)["records"][0]
         assert record["branch_position"] == "on"
         assert record["regularity"]["outcome"] == "CertifiedRegular"
-        assert "no cover-compatible arc found in 64 attempts" in record["reason"]
-        assert record["verdict"] == VERDICT_INCONCLUSIVE
-        assert "order_checks" not in record
+        assert record["verdict"] == VERDICT_CERTIFIED
+        arcs = 1 if arc_flags else 5
+        assert [
+            (check["label"], check["arcs"], check["pass"])
+            for check in record["order_checks"]
+        ] == [("branch truncation level 1", arcs, arcs)]
+
+    @pytest.mark.parametrize("command", ["certify", "localize"])
+    @pytest.mark.parametrize(
+        "header, args",
+        [("prime = 3\n", []), ("", ["--prime", "3"])],
+        ids=["file-prime", "prime-override"],
+    )
+    def test_prime_dividing_cover_degree_exits_2(
+        self, command, header, args, tmp_path, capsys
+    ):
+        # K = 3 over GF(3): neither the root pieces nor K-th roots of series
+        # exist, since both divide by K.
+        path = tmp_path / "cubic.inst"
+        path.write_text(header + CUBIC_FILE)
+        code, out, err = run_cli(
+            [command, str(path), "--point", "1,0,0,0,0,0,0"] + args, capsys
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert "the prime 3 divides the cover degree K = 3" in err
+        assert "Traceback" not in err
 
     def test_conflicting_prime_override_rejected(self, workhorse_file, capsys):
         code, _, err = run_cli(

@@ -1,9 +1,11 @@
 """Tests for cover instances, localization, sequences, members, arcs, sampling."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import cycover.cover
 from cycover.cover import (
     ArcOrderRecord,
     ChartLocalization,
@@ -31,12 +33,14 @@ from cycover.cover import (
     validate_family,
     verify_regularity,
 )
-from cycover.cover import _scalar_kth_root
+from cycover.cover import _line_restriction, _sylvester_determinant
 from cycover.modular import is_kth_power_residue
-from cycover.poly import QQ, PrimeField, poly_eval
+from cycover.poly import QQ, Polynomial, PrimeField, poly_eval, ring_over
 from cycover.regseq import CERTIFIED_REGULAR
 from cycover.series import poly_on_series
+from cycover.seeds import Rng
 from helpers import truncated_kth_root
+from oracles import poly_on_series_by_terms
 
 WORKHORSE = validate_family(5, 4, 2, 2)
 
@@ -121,6 +125,13 @@ class TestInstance:
             CoverInstance(
                 family=WORKHORSE, base_form=ring.zero(), branch_form=x[0] ** 4
             )
+
+    def test_rejects_prime_dividing_cover_degree(self):
+        for fam, p in ((WORKHORSE, 2), (validate_family(5, 2, 2, 3), 3)):
+            K = fam.cover_degree
+            with pytest.raises(ValueError) as err:
+                random_instance(fam, seed=1, domain=PrimeField(p))
+            assert f"prime {p} divides the cover degree K = {K}" in str(err.value)
 
     def test_requires_exactly_one_branch_description(self):
         ring = ambient_ring(WORKHORSE, QQ)
@@ -240,14 +251,12 @@ class TestLocalize:
         assert chart.point == (0, 1, 1, 0, 0, 0, 0)
 
     def test_rescale_off_branch(self):
-        # g at the point is 2, so the localized branch form is divided by 2
-        # and no rational square root of 2 exists.
+        # g at the point is 2, so the localized branch form is divided by 2.
         inst = _quartic_instance()
         chart = localize(inst, (0, 1, 1, 0, 0, 0, 0))
         assert not chart.on_branch
         assert chart.branch_scale == 2
         assert chart.branch_piece(0) == chart.ring.one()
-        assert _scalar_kth_root(QQ, chart.branch_scale, 2) is None
 
     def test_rational_root_recorded_when_perfect_power(self):
         fam = validate_family(5, 2, 4, 2)
@@ -258,7 +267,6 @@ class TestLocalize:
         inst = CoverInstance(family=fam, base_form=base, branch_form=branch)
         chart = localize(inst, (1, 0, 0, 0, 0, 0, 0))
         assert chart.branch_scale == Fraction(9, 4)
-        assert _scalar_kth_root(QQ, chart.branch_scale, 2) == Fraction(3, 2)
 
     def test_on_branch_flag(self):
         fam = validate_family(5, 2, 4, 2)
@@ -295,8 +303,6 @@ class TestLocalize:
         chart = localize(inst, (1, 0, 0, 0, 0, 0, 0))
         assert not chart.on_branch
         assert chart.branch_scale == 1
-        # the least square root of 1 mod p
-        assert _scalar_kth_root(chart.domain, chart.branch_scale, 2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +546,46 @@ class TestArcs:
                 if j % K:
                     assert c == on_chart.domain.zero
 
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize(
+        "domain", [QQ, PrimeField(13), PrimeField(17)], ids=["QQ", "GF13", "GF17"]
+    )
+    def test_on_branch_arcs_in_one_draw(self, domain, K, monkeypatch):
+        # Over Q the leading branch constants are almost never K-th powers,
+        # and GF(17) has no cube roots of unity, yet an arc takes one lift
+        # unless its branch order K*shift has gcd(shift, K) > 1.
+        chart = _chart_through_e0(_ONE_DRAW_FAMILIES[K], domain, seed=1)
+        calls = _count_arc_lifts(monkeypatch)
+        draws = []
+        for seed in range(5):
+            calls.clear()
+            arc = arc_through_chart_origin(chart, seed=seed, order_bound=6)
+            shifts = _branch_shifts(chart, calls)
+            assert gcd(shifts[-1], K) == 1
+            assert all(gcd(shift, K) > 1 for shift in shifts[:-1])
+            draws.append(len(shifts))
+            _check_on_branch_arc(chart, arc)
+        assert draws.count(1) >= 4
+        if domain is QQ:
+            assert draws == [1] * 5
+
+    @pytest.mark.parametrize("K, seed, draws", [(2, 9, 2), (2, 13, 3), (3, 403, 2)])
+    def test_on_branch_redraw_when_branch_order_shares_a_factor_with_K(
+        self, K, seed, draws, monkeypatch
+    ):
+        # Pinned seeds whose first draws over GF(13) have a branch order
+        # K*shift with gcd(shift, K) > 1, which needs the t^K coefficient of
+        # the branch form along the arc to vanish (and for K = 3 the t^(2K)
+        # one too).
+        chart = _chart_through_e0(_ONE_DRAW_FAMILIES[K], PrimeField(13), seed=1)
+        calls = _count_arc_lifts(monkeypatch)
+        arc = arc_through_chart_origin(chart, seed=seed, order_bound=6)
+        shifts = _branch_shifts(chart, calls)
+        assert len(shifts) == draws
+        assert all(gcd(shift, K) > 1 for shift in shifts[:-1])
+        assert gcd(shifts[-1], K) == 1
+        _check_on_branch_arc(chart, arc)
+
     def test_residual_orders_recorded(self, off_chart):
         arc = arc_through_chart_origin(off_chart, seed=100, order_bound=6)
         assert arc.residual_orders == {"base": 7, "cover": 7}
@@ -547,6 +593,74 @@ class TestArcs:
     def test_rejects_tiny_order_bound(self, off_chart):
         with pytest.raises(ValueError):
             arc_through_chart_origin(off_chart, seed=1, order_bound=1)
+
+
+_ONE_DRAW_FAMILIES = {2: WORKHORSE, 3: validate_family(5, 2, 2, 3)}
+
+
+def _chart_through_e0(family, domain, seed):
+    """The on-branch chart at (1:0:...:0) of a random instance whose forms
+    lose their x0^d terms, so that both vanish there."""
+    inst = random_instance(family, seed, domain)
+    ring = inst.ring
+    e0 = (1,) + (0,) * (ring.nvars - 1)
+
+    def through_e0(F):
+        top = (F.degree(),) + (0,) * (ring.nvars - 1)
+        return Polynomial(ring, {e: c for e, c in F.terms.items() if e != top})
+
+    inst = CoverInstance(
+        family, through_e0(inst.base_form), branch_form=through_e0(inst.branch_form)
+    )
+    chart = localize(inst, e0)
+    assert chart.on_branch and smooth_at(chart)
+    return chart
+
+
+def _count_arc_lifts(monkeypatch) -> list:
+    calls = []
+    lift = cycover.cover.arc_lift
+
+    def counting(*args):
+        lifted = lift(*args)
+        calls.append((args, lifted))
+        return lifted
+
+    monkeypatch.setattr(cycover.cover, "arc_lift", counting)
+    return calls
+
+
+def _branch_shifts(chart, calls) -> list:
+    """For each recorded lift, the order of the branch form along the arc
+    it completes, divided by K; recomputed term by term."""
+    K = chart.family.cover_degree
+    shifts = []
+    for (_, solved, free, _), lifted in calls:
+        components = {
+            name: lifted if i == solved else free[i]
+            for i, name in enumerate(chart.ring.variables)
+        }
+        order = poly_on_series_by_terms(chart.localized_branch, components).order()
+        assert order is not None and order % K == 0
+        shifts.append(order // K)
+    return shifts
+
+
+def _check_on_branch_arc(chart, arc):
+    """Both residuals, recomputed term by term, vanish through the order
+    bound; the chart components are series in t^K and y(0) = 0."""
+    K = chart.family.cover_degree
+    domain = chart.domain
+    chart_components = {n: s for n, s in arc.components.items() if n != "y"}
+    assert poly_on_series_by_terms(chart.localized_base, chart_components).order() is None
+    branch = poly_on_series_by_terms(chart.localized_branch, chart_components)
+    y = arc.component("y")
+    assert (y.pow_int(K) - branch).order() is None
+    assert y[0] == domain.zero
+    assert branch.order() is not None  # a generic arc leaves the branch locus
+    for series in chart_components.values():
+        assert series[0] == domain.zero
+        assert all(domain.is_zero(c) for j, c in enumerate(series.coeffs) if j % K)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +794,34 @@ class TestSampling:
         with pytest.raises(ValueError) as err:
             sample_point_off_branch(inst, seed=1)
         assert "1 mod" in str(err.value)
+
+    def test_line_restrictions_match_plane_substitution(self, field_instance):
+        # The on-branch sampler reads each Sylvester node x, and each root
+        # slice, as the line a + x*c + r*d; the plane restriction through
+        # Polynomial.substitute must give the same coefficients in r.
+        p = field_instance.domain.p
+        plane = ring_over(("s", "r"), field_instance.domain)
+        s_gen, r_gen = plane.gens()
+        rng = Rng(5)
+        for F in (field_instance.base_form, field_instance.branch_form):
+            a, c, d = (tuple(rng.below(p) for _ in range(7)) for _ in range(3))
+            restricted = F.substitute(
+                [plane.const(ai) + plane.const(ci) * s_gen + plane.const(di) * r_gen
+                 for ai, ci, di in zip(a, c, d)]
+            )
+            for x in (0, 1, 5, p - 1):
+                at = tuple((ai + x * ci) % p for ai, ci in zip(a, c))
+                expected = [0] * (F.degree() + 1)
+                for (es, er), coeff in restricted.terms.items():
+                    expected[er] = (expected[er] + coeff * pow(x, es, p)) % p
+                assert list(_line_restriction(F, F.degree(), at, d)) == expected
+
+    def test_sylvester_determinant_is_the_resultant(self):
+        # Res((X - 2)(X - 3), X - 5) = (5 - 2)(5 - 3) = 6 (monic, degrees 2
+        # and 1), and a common root makes it vanish.
+        p = 101
+        assert _sylvester_determinant([6, p - 5, 1], [p - 5, 1], p) == 6
+        assert _sylvester_determinant([6, p - 5, 1], [p - 3, 1], p) == 0
 
     def test_off_branch_avoids_branch_locus(self, field_instance):
         for s in range(6):

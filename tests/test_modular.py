@@ -1,8 +1,8 @@
-"""Number theory oracles: primes, roots mod p, univariate root finding.
+"""Number theory oracles: primes, K-th power residues, univariate root
+finding.
 
-Frozen constants (working primes, primitive roots) were computed with an
-independent tool before this module existed.  K-th roots are checked
-against the discrete-log route in ``oracles`` and against brute force.
+Frozen constants (working primes) were computed with an independent tool
+before this module existed.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from cycover.modular import (
     det_mod,
     is_kth_power_residue,
     is_prime,
-    kth_root_mod,
     lagrange_interpolate,
     poly1_divmod,
     poly1_eval,
@@ -21,8 +20,6 @@ from cycover.modular import (
     poly1_roots,
     working_prime,
 )
-from cycover.seeds import Rng
-from oracles import discrete_log, factorize, kth_root_by_discrete_log, primitive_root
 
 
 class TestPrimes:
@@ -55,79 +52,13 @@ class TestPrimes:
             p = working_prime(k)
             assert is_prime(p) and p % k == 1
 
-    def test_factorize(self):
-        assert factorize(1_000_002) == {2: 1, 3: 1, 166667: 1}
-        assert factorize(360) == {2: 3, 3: 2, 5: 1}
-        assert factorize(1) == {}
-
 
 class TestRoots:
-    def test_primitive_root_frozen(self):
-        assert primitive_root(1_000_003) == 2
-        assert primitive_root(1_000_033) == 5
-        assert primitive_root(1_000_081) == 7
-        assert primitive_root(7) == 3
-
-    def test_primitive_root_has_full_order(self):
-        for p in (101, 1_000_003):
-            g = primitive_root(p)
-            for q in factorize(p - 1):
-                assert pow(g, (p - 1) // q, p) != 1
-
-    def test_discrete_log_round_trip(self):
-        p = 1_000_003
-        g = primitive_root(p)
-        for x in (1, 2, 17, 123_456, p - 2):
-            assert discrete_log(g, pow(g, x, p), p) == x % (p - 1)
-
-    def test_square_roots(self):
-        p = 1_000_003
-        assert kth_root_mod(25, 2, p) == 5  # the lesser of 5 and p - 5
-        assert kth_root_mod(p - 25, 2, p) is None  # -1 is a nonresidue: p = 3 mod 4
-        assert kth_root_mod(0, 2, p) == 0
-        # A nonresidue has no root: g^odd is never a square.
-        g = primitive_root(p)
-        assert kth_root_mod(g, 2, p) is None
-
-    def test_least_root_by_brute_force(self):
-        for p, k in ((13, 3), (31, 5), (101, 4)):
-            for a in range(p):
-                roots = [x for x in range(p) if pow(x, k, p) == a]
-                assert kth_root_mod(a, k, p) == (roots[0] if roots else None)
-
-    def test_agrees_with_discrete_log_route(self):
-        rng = Rng(7)
-        for k in (2, 3, 5):
-            p = working_prime(k)
-            for _ in range(20):
-                a = 1 + rng.below(p - 1)
-                root = kth_root_mod(a, k, p)
-                other = kth_root_by_discrete_log(a, k, p)
-                assert (root is None) == (other is None)
-                if root is not None:
-                    assert pow(root, k, p) == pow(other, k, p) == a
-                    assert root <= other
-
-    def test_kth_root_round_trip(self):
-        rng = Rng(42)
-        for k in (2, 3, 5):
-            p = working_prime(k)
-            for _ in range(20):
-                x = 1 + rng.below(p - 1)
-                a = pow(x, k, p)
-                root = kth_root_mod(a, k, p)
-                assert root is not None
-                assert pow(root, k, p) == a
-
     def test_residue_proportion(self):
         # Exactly (p-1)/k residues among nonzero elements for small p.
         p, k = 13, 3
         residues = [a for a in range(1, p) if is_kth_power_residue(a, k, p)]
         assert len(residues) == (p - 1) // k
-
-    def test_wrong_congruence_rejected(self):
-        with pytest.raises(ValueError):
-            kth_root_mod(4, 3, 5)  # 5 is not 1 mod 3
 
 
 class TestUnivariate:
