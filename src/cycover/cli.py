@@ -521,7 +521,9 @@ def run_certify(
             point_seed = derive_seed(master_seed, point=index, purpose=purpose)
             try:
                 point = sampler(instance, point_seed)
-            except SampleBudgetError as error:
+            except (SampleBudgetError, ArithmeticError) as error:
+                # A sampler fault ("sampled point fails re-verification") is
+                # an internal fault, never a refutation: inconclusive.
                 report.add_record(
                     {
                         "kind": "sampling-failure",
@@ -583,7 +585,7 @@ def _campaign_task(payload: tuple) -> Dict[str, Any]:
     seeds = {"instance": instance_seed, "point": point_seed}
     try:
         point = sampler(instance, point_seed)
-    except SampleBudgetError as error:
+    except (SampleBudgetError, ArithmeticError) as error:
         return {
             "kind": "sampling-failure",
             "trial": trial,

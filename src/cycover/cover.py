@@ -77,6 +77,7 @@ __all__ = [
     "LocalizationError",
     "SampleBudgetError",
     "CoverInstance",
+    "require_invertible_cover_degree",
     "ambient_ring",
     "chart_ring",
     "random_instance",
@@ -140,6 +141,16 @@ def chart_ring(family: CoverFamily, domain) -> PolyRing:
     )
 
 
+def require_invertible_cover_degree(cover_degree: int, characteristic: int) -> None:
+    """Reject a field whose characteristic divides K: K-th roots of series
+    and the root pieces Φ_i divide by K."""
+    if characteristic and cover_degree % characteristic == 0:
+        raise ValueError(
+            f"the prime {characteristic} divides the cover degree "
+            f"K = {cover_degree}; the cover needs K invertible mod p"
+        )
+
+
 @dataclass(frozen=True)
 class CoverInstance:
     """One cyclic cover: a base form and a branch form over a common ring.
@@ -166,13 +177,7 @@ class CoverInstance:
             )
         if any(w != 1 for w in ring.weights):
             raise ValueError("ambient coordinates must all have weight 1")
-        p = ring.domain.characteristic
-        if p and fam.cover_degree % p == 0:
-            # K-th roots of series and the root pieces Φ_i divide by K.
-            raise ValueError(
-                f"the prime {p} divides the cover degree K = {fam.cover_degree}; "
-                f"the cover needs K invertible mod p"
-            )
+        require_invertible_cover_degree(fam.cover_degree, ring.domain.characteristic)
         _require_form(self.base_form, fam.base_degree, "base form")
         if (self.branch_form is None) == (self.generalized_forms is None):
             raise ValueError(

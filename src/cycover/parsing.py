@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cover import CoverInstance
+from .cover import CoverInstance, require_invertible_cover_degree
 from .family import CoverFamily, validate_family
 from .poly import QQ, Polynomial, PolyRing, PrimeField, ring_over
 
@@ -399,6 +399,7 @@ def parse_instance_file(text: str) -> InstanceDocument:
     if prime is not None:
         try:
             domain = PrimeField(prime)
+            require_invertible_cover_degree(family.cover_degree, prime)
         except ValueError as error:
             raise InstanceFileError(str(error), bindings["prime"][1]) from error
     else:

@@ -10,18 +10,26 @@ refutation after several independent cut draws is Monte-Carlo evidence.
 
 Isolation is certified for homogeneous sequences, the only kind the
 pipeline builds (every regularity sequence consists of graded pieces):
-independent linear elements of the ideal are eliminated by substitution,
-and isolation is equivalent to a Macaulay-matrix full-rank check in the top
-relevant degree — with exactly as many generators as variables, the
-quotient is a complete intersection, whose Hilbert function provably
-vanishes first at cap = sum(deg_j - 1) + 1, making the rank test an exact
-decision.  The check first ranks Macaulay's square matrix, one row per
-column monomial x^a (the multiple of the first generator f_i with
+independent linear elements of the ideal are eliminated by a linear
+substitution, and isolation is equivalent to a Macaulay-matrix full-rank
+check in the top relevant degree — with exactly as many generators as
+variables, the quotient is a complete intersection, whose Hilbert function
+provably vanishes first at cap = sum(deg_j - 1) + 1, making the rank test
+an exact decision.  The check first ranks Macaulay's square matrix, one row
+per column monomial x^a (the multiple of the first generator f_i with
 a_i >= deg f_i); its rows are rows of the full matrix, so a nonsingular
 square matrix proves full column rank.  Only when it is singular (Macaulay's
 extraneous factor vanishes) are all multiples of all generators ranked.
 Over Q the rank is taken modulo a large prime at which every entry is
 defined.  Non-homogeneous sequences and weighted rings are rejected.
+
+Nothing in the certificate runs once per matrix entry in Python.  The
+substitution moves the exponents of the variables that stay and forms one
+product of cached powers of the linear images per group of terms; each
+Macaulay matrix is scattered into a numpy array form by form, its columns
+found by mixed-radix monomial codes; and the elimination updates only the
+rows with a nonzero in the pivot column, in the columns where the pivot row
+is nonzero.
 
 Buchberger completion only annotates a refuted prefix with the dimension
 of its zero set.  That work is metered by a pair-reduction budget; when the
@@ -383,74 +391,176 @@ def _reduced_row_echelon(rows: list, domain: Domain) -> tuple:
     return mat[:r], pivots
 
 
-def _has_full_column_rank(rows: list, ncols: int, p: int) -> bool:
-    """Gaussian elimination mod p on an int matrix, vectorized.
+def _rank_dtype(p: int):
+    """int64 while a product of two residues fits, (p - 1)^2 < 2^63;
+    exact Python ints (object) for larger primes."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
 
-    Entries stay in [0, p), so a product of two entries fits int64 when
-    (p - 1)^2 < 2^63; for larger p the matrix holds exact Python ints.
+
+def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
+    """Gaussian elimination mod p that touches only nonzero entries.
+
+    ``rows`` is a 2-D array, eliminated in place when its dtype is the one
+    ``_rank_dtype(p)`` names, or a list of equal-length int lists.  Each
+    pivot updates only the rows with a nonzero in its column, and in them
+    only the columns where the pivot row is nonzero (structured Gaussian
+    elimination, LaMacchia & Odlyzko 1990): the matrix is stored densely
+    but worked sparsely.  Entries stay in [0, p).
     """
     if len(rows) < ncols:
         return False
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    mat = np.array(rows, dtype=dtype)
-    r = 0
+    mat = np.asarray(rows, dtype=_rank_dtype(p))
     for c in range(ncols):
-        column = mat[r:, c]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size == 0:
+        below = np.flatnonzero(mat[c:, c])
+        if below.size == 0:
             return False
-        pivot = r + int(nonzero[0])
-        if pivot != r:
-            mat[[r, pivot]] = mat[[pivot, r]]
-        inv = pow(int(mat[r, c]), p - 2, p)
-        mat[r, c:] = mat[r, c:] * inv % p
-        body = mat[r + 1 :, c:]
-        factors = mat[r + 1 :, c]
-        hot = np.nonzero(factors)[0]
+        pivot = c + int(below[0])
+        if pivot != c:
+            mat[[c, pivot]] = mat[[pivot, c]]
+        hot = c + below[1:]
         if hot.size:
-            body[hot] = (body[hot] - factors[hot, None] * mat[r, c:][None, :]) % p
-        r += 1
-        if r == len(mat) and c + 1 < ncols:
-            return False
+            # Row c is never read again, so its scaled copy stays local.
+            support = c + np.flatnonzero(mat[c, c:])
+            scaled = mat[c, support] * pow(int(mat[c, c]), p - 2, p) % p
+            block = (hot[:, None], support)
+            mat[block] = (mat[block] - mat[hot, c][:, None] * scaled) % p
     return True
 
 
-def _macaulay_assignment(alpha: tuple, degrees: Sequence[int]) -> tuple:
-    """Macaulay's row for the column x^alpha: the first form i with
-    alpha_i >= d_i, shifted by x^(alpha - d_i e_i).  With v forms in v
-    variables and |alpha| = sum(d_i - 1) + 1, some i qualifies by pigeonhole."""
-    i = next(i for i, d in enumerate(degrees) if alpha[i] >= d)
-    return i, alpha[:i] + (alpha[i] - degrees[i],) + alpha[i + 1 :]
+def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.ndarray:
+    """Macaulay matrix mod p of v homogeneous forms in v variables.
+
+    Columns are the monomials of degree cap = sum(d_i - 1) + 1 in the
+    ``monomials_of_degree`` order.  With ``square``, the row of column x^a
+    is x^(a - d_i e_i)·f_i for the first form i with a_i >= d_i (Macaulay's
+    assignment; some i qualifies by pigeonhole); otherwise the rows are
+    every multiple x^b·f_i of degree cap, form by form.  Each monomial gets
+    the mixed-radix code sum a_j·(cap + 1)^j.  No exponent reaches cap + 1,
+    so the code of a product is the sum of the codes, and in one degree the
+    codes rise exactly as grevlex descends (the last variable is the most
+    significant digit): ``searchsorted`` on the column codes finds every
+    entry's column at once.
+    """
+    ring = forms[0].ring
+    degrees = [g.degree() for g in forms]
+    cap = sum(d - 1 for d in degrees) + 1
+    # Codes stay below (cap + 1)^v, far inside int64 for any matrix that fits.
+    place = (cap + 1) ** np.arange(ring.nvars, dtype=np.int64)
+
+    def codes(exponents) -> np.ndarray:
+        return (np.array(exponents, dtype=np.int64) * place).sum(axis=1)
+
+    columns = monomials_of_degree(ring, cap)
+    column_codes = codes(columns)
+    if square:
+        d = np.array(degrees)
+        form_of_row = np.argmax(np.array(columns) >= d, axis=1)
+        shift_codes = column_codes - d[form_of_row] * place[form_of_row]
+    else:
+        shifts = [monomials_of_degree(ring, cap - d) for d in degrees]
+        form_of_row = np.repeat(np.arange(len(forms)), [len(s) for s in shifts])
+        shift_codes = np.concatenate([codes(s) for s in shifts])
+    dtype = _rank_dtype(p)
+    mat = np.zeros((len(shift_codes), len(columns)), dtype=dtype)
+    for k, g in enumerate(forms):
+        rows = np.flatnonzero(form_of_row == k)
+        coeffs = np.array([_coefficient_mod(c, p) for c in g.terms.values()], dtype=dtype)
+        entries = shift_codes[rows, None] + codes(list(g.terms))
+        mat[rows[:, None], np.searchsorted(column_codes, entries)] = coeffs
+    return mat
 
 
-def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) -> bool:
-    """Sound isolation certificate for a homogeneous ideal.
+def _substitute_linear(F: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """F.substitute(images) for images that are linear forms (or zero).
 
-    Eliminates independent linear members by substitution, then checks that
-    the top relevant graded piece of the quotient vanishes by a modular rank
-    computation: first on Macaulay's square matrix (one row per column),
-    and only when that is singular on every multiple of every generator.
-    True is a proof that the origin is the whole zero set; False simply
-    means this certificate did not fire.
+    A variable whose image is a plain variable only moves its exponent.
+    F's terms are grouped by their exponents in the other variables, and
+    each group meets one product of cached powers of those images.
+    Monomials of the target ring are mixed-radix codes in base
+    deg F + 1, so a product of monomials is a sum of codes.
+    """
+    target = images[0].ring
+    domain = target.domain
+    v = target.nvars
+    if F.is_zero():
+        return target.zero()
+    radix = 1 + max(sum(exps) for exps in F.terms)
+    place = [radix**j for j in range(v)]
+
+    def code(exps) -> int:
+        return sum(e * w for e, w in zip(exps, place))
+
+    moved = []  # (variable, code of its image monomial)
+    linear = []  # (variable, {code: coefficient} of its image)
+    for i, image in enumerate(images):
+        terms = image.terms
+        if len(terms) == 1 and next(iter(terms.values())) == domain.one:
+            moved.append((i, code(next(iter(terms)))))
+        else:
+            linear.append((i, {code(e): c for e, c in terms.items()}))
+    groups: dict = {}  # exponents in the linear variables -> {code: coefficient}
+    for exps, coeff in F.terms.items():
+        key = tuple(exps[i] for i, _ in linear)
+        base = sum(exps[i] * w for i, w in moved)
+        group = groups.setdefault(key, {})
+        group[base] = group.get(base, 0) + coeff
+
+    def times(left: dict, right: dict) -> dict:
+        out: dict = {}
+        for a, x in left.items():
+            for b, y in right.items():
+                out[a + b] = out.get(a + b, 0) + x * y
+        return {c: domain.of(x) for c, x in out.items()}
+
+    powers = [[{0: domain.one}] for _ in linear]
+    products = {(): {0: domain.one}}
+    total: dict = {}
+    for key, group in groups.items():
+        for k, e in enumerate(key):
+            prefix = key[: k + 1]
+            if prefix in products:
+                continue
+            if e == 0:
+                products[prefix] = products[key[:k]]
+                continue
+            chain = powers[k]
+            while len(chain) <= e:
+                chain.append(times(chain[-1], linear[k][1]))
+            products[prefix] = times(products[key[:k]], chain[e])
+        for a, x in products[key].items():
+            for b, y in group.items():
+                total[a + b] = total.get(a + b, 0) + x * y
+    decoded = {}
+    for c, x in total.items():
+        exps = []
+        for _ in range(v):
+            c, e = divmod(c, radix)
+            exps.append(e)
+        decoded[tuple(exps)] = domain.of(x)
+    return Polynomial(target, decoded)
+
+
+def _linear_images(linear_members: Sequence[Polynomial], ring: PolyRing):
+    """The substitution that eliminates independent linear members.
+
+    Solves the members for their pivot variables (reduced row echelon
+    form) and returns one image per variable of ``ring`` in the ring of the
+    remaining variables: a remaining variable maps to itself, a pivot
+    variable to minus its row over the remaining ones.  None when the
+    members leave no variable.
     """
     domain = ring.domain
     n = ring.nvars
-    linear_rows = []
-    nonlinear = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        if g.degree() == 1:
-            row = [domain.zero] * n
-            for exps, coeff in g.terms.items():
-                row[exps.index(1)] = coeff
-            linear_rows.append(row)
-        else:
-            nonlinear.append(g)
-    rref, pivots = _reduced_row_echelon(linear_rows, domain)
+    rows = []
+    for g in linear_members:
+        row = [domain.zero] * n
+        for exps, coeff in g.terms.items():
+            row[exps.index(1)] = coeff
+        rows.append(row)
+    rref, pivots = _reduced_row_echelon(rows, domain)
     remaining = [i for i in range(n) if i not in pivots]
     if not remaining:
-        return True  # the linear members alone cut the origin
+        return None
     reduced_ring = ring_over(
         tuple(ring.variables[i] for i in remaining),
         domain,
@@ -468,42 +578,42 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
                 exps = tuple(1 if k == position[j] else 0 for k in range(len(remaining)))
                 terms[exps] = domain.neg(row[j])
             images.append(Polynomial(reduced_ring, terms))
+    return images
+
+
+def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) -> bool:
+    """Sound isolation certificate for a homogeneous ideal.
+
+    Eliminates independent linear members by a linear substitution, then
+    checks that the top relevant graded piece of the quotient vanishes by a
+    modular rank computation: first on Macaulay's square matrix (one row per
+    column), and only when that is singular on every multiple of every
+    generator.  True is a proof that the origin is the whole zero set; False
+    simply means this certificate did not fire.
+    """
+    members = [g for g in gens if not g.is_zero()]
+    images = _linear_images([g for g in members if g.degree() == 1], ring)
+    if images is None:
+        return True  # the linear members alone cut the origin
     reduced_gens = []
-    for g in nonlinear:
-        image = g.substitute(images)
-        if not image.is_zero():
-            reduced_gens.append(image)
-    v = len(remaining)
-    if len(reduced_gens) != v:
+    for g in members:
+        if g.degree() != 1:
+            image = _substitute_linear(g, images)
+            if not image.is_zero():
+                reduced_gens.append(image)
+    if len(reduced_gens) != images[0].ring.nvars:
         # Fewer equations cannot isolate a point; more never arise from one
         # generator per variable, and Macaulay's rows pair forms with variables.
         return False
-    degrees = [g.degree() for g in reduced_gens]
-    cap = sum(d - 1 for d in degrees) + 1
-    columns = monomials_of_degree(reduced_ring, cap)
-    column_index = {exps: k for k, exps in enumerate(columns)}
-    p = _rank_check_prime(reduced_gens, domain)
-    forms = [
-        {exps: _coefficient_mod(coeff, p) for exps, coeff in g.terms.items()}
-        for g in reduced_gens
-    ]
-
-    def row(k: int, shift: tuple) -> list:
-        entries = [0] * len(columns)
-        for exps, coeff in forms[k].items():
-            entries[column_index[tuple(a + b for a, b in zip(exps, shift))]] = coeff
-        return entries
-
-    square = [row(*_macaulay_assignment(alpha, degrees)) for alpha in columns]
-    if _has_full_column_rank(square, len(columns), p):
+    p = _rank_check_prime(reduced_gens, ring.domain)
+    square = _macaulay_matrix(reduced_gens, p, square=True)
+    if _has_full_column_rank(square, square.shape[1], p):
         return True
-    # Singular (Macaulay's extraneous factor vanishes): rank every multiple.
-    rows = [
-        row(k, shift)
-        for k, degree in enumerate(degrees)
-        for shift in monomials_of_degree(reduced_ring, cap - degree)
-    ]
-    return _has_full_column_rank(rows, len(columns), p)
+    # Singular (Macaulay's extraneous factor vanishes): rank every multiple,
+    # with the square matrix freed first.
+    del square
+    full = _macaulay_matrix(reduced_gens, p, square=False)
+    return _has_full_column_rank(full, full.shape[1], p)
 
 
 def regular_at_origin(

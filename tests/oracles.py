@@ -10,12 +10,21 @@ library by other means, so a test can compare the two:
 * polynomials composed with series term by term, each exponent powered on
   its own, as against the power-caching ``cycover.poly.compose``;
 * the Newton lift that composes F and ∂F/∂s on every step, as against
-  ``cycover.series.arc_lift``, which composes F once.
+  ``cycover.series.arc_lift``, which composes F once;
+* Macaulay matrices built row by row as Python lists, one dict lookup per
+  entry, as against the array scatter of ``cycover.regseq``.
 """
 
 from typing import Mapping, Optional, Sequence
 
-from cycover.poly import Polynomial, PolyRing, poly_mul, ring_over
+from cycover.poly import (
+    Polynomial,
+    PolyRing,
+    PrimeField,
+    monomials_of_degree,
+    poly_mul,
+    ring_over,
+)
 from cycover.regseq import (
     DEFAULT_PAIR_BUDGET,
     GroebnerBasis,
@@ -224,3 +233,44 @@ def arc_lift_by_recomposition(
         slope = poly_on_series_by_terms(partial, assignment)
         current = current - residual * slope.inverse()
     raise ArithmeticError("Newton iteration failed to converge")
+
+
+# -- Macaulay matrices, one entry at a time ------------------------------------
+
+
+def macaulay_assignment(alpha: tuple, degrees: Sequence[int]) -> tuple:
+    """Macaulay's row for the column x^alpha: the first form i with
+    alpha_i >= d_i, shifted by x^(alpha - d_i e_i)."""
+    i = next(i for i, d in enumerate(degrees) if alpha[i] >= d)
+    return i, alpha[:i] + (alpha[i] - degrees[i],) + alpha[i + 1 :]
+
+
+def macaulay_rows_by_lists(
+    forms: Sequence[Polynomial], p: int, square: bool
+) -> list:
+    """The rows mod p of ``cycover.regseq._macaulay_matrix`` as int lists:
+    Macaulay's square rows in column order, or every multiple of every form
+    of degree cap = sum(d_i - 1) + 1, form by form."""
+    ring = forms[0].ring
+    field = PrimeField(p)
+    degrees = [g.degree() for g in forms]
+    cap = sum(d - 1 for d in degrees) + 1
+    columns = monomials_of_degree(ring, cap)
+    column_index = {exps: k for k, exps in enumerate(columns)}
+    reduced = [
+        {exps: field.of(coeff) for exps, coeff in g.terms.items()} for g in forms
+    ]
+
+    def row(k: int, shift: tuple) -> list:
+        entries = [0] * len(columns)
+        for exps, coeff in reduced[k].items():
+            entries[column_index[tuple(a + b for a, b in zip(exps, shift))]] = coeff
+        return entries
+
+    if square:
+        return [row(*macaulay_assignment(alpha, degrees)) for alpha in columns]
+    return [
+        row(k, shift)
+        for k, degree in enumerate(degrees)
+        for shift in monomials_of_degree(ring, cap - degree)
+    ]

@@ -374,6 +374,46 @@ class TestCertify:
         assert "the prime 3 divides the cover degree K = 3" in err
         assert "Traceback" not in err
 
+    def test_prime_dividing_cover_degree_names_the_prime_line(self, tmp_path, capsys):
+        # The fault is the prime, so the error names its line, not that of f.
+        path = tmp_path / "cubic.inst"
+        path.write_text(CUBIC_FILE.replace("K = 3\n", "K = 3\nprime = 3\n"))
+        code, out, err = run_cli(["certify", str(path), "--point", "1,0,0,0,0,0,0"], capsys)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert "instance file error at line 5: the prime 3 divides" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "--family", "5,4,2,2", "--trials", "1", "--seed", "3"],
+            ["certify", None],
+        ],
+        ids=["campaign", "certify"],
+    )
+    def test_sampler_fault_is_inconclusive_not_refuted(
+        self, command, workhorse_file, monkeypatch, capsys
+    ):
+        # Roots that are not roots make the off-branch sampler's recheck
+        # fail.  That is an internal fault: a sampling-failure record and
+        # exit 3, never exit 1, which means "refuted".
+        import cycover.cover
+
+        def non_roots(coeffs, p, seed=0):
+            value = lambda r: sum(c * pow(r, k, p) for k, c in enumerate(coeffs)) % p
+            return [next(r for r in range(p) if value(r))]
+
+        monkeypatch.setattr(cycover.cover, "poly1_roots", non_roots)
+        argv = [workhorse_file if arg is None else arg for arg in command]
+        code, out, _ = run_cli(argv + ["--points-off", "1", "--points-on", "0"], capsys)
+        assert code == cli.EXIT_INCONCLUSIVE
+        doc = json.loads(out)
+        (record,) = doc["records"]
+        assert record["kind"] == "sampling-failure"
+        assert record["reason"] == "sampled point fails re-verification"
+        assert record["verdict"] == VERDICT_INCONCLUSIVE
+        assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
+
     def test_conflicting_prime_override_rejected(self, workhorse_file, capsys):
         code, _, err = run_cli(
             ["certify", workhorse_file, "--prime", "13"], capsys
@@ -501,6 +541,29 @@ class TestCampaign:
         assert record["verdict"] == VERDICT_INCONCLUSIVE
         assert record["reason"] == "lifted arc leaves a nonzero base residual"
         assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
+
+    def test_campaign_makes_no_generic_substitution(self, monkeypatch, capsys):
+        # Localization, sampling and the rank certificate's linear cuts all
+        # run without Polynomial.substitute, off the branch and on it.
+        from cycover.poly import Polynomial
+
+        calls = []
+        substitute = Polynomial.substitute
+
+        def counting(self, images):
+            calls.append(self)
+            return substitute(self, images)
+
+        monkeypatch.setattr(Polynomial, "substitute", counting)
+        code, out, _ = run_cli(
+            ["campaign", "--family", "5,4,2,2", "--trials", "1",
+             "--points-off", "1", "--points-on", "1", "--seed", "7"],
+            capsys,
+        )
+        assert code == cli.EXIT_CERTIFIED
+        cases = {r["case"] for r in json.loads(out)["records"]}
+        assert cases == {"R1a", "R2"}
+        assert calls == []
 
     def test_worker_count_does_not_change_report(self, capsys):
         argv = [

@@ -2,14 +2,17 @@
 
 Every expected dimension or verdict below was derived by hand (explicit
 primary decompositions noted inline) before the engine existed.  The
-saturation route in ``oracles`` checks the rank certificate independently.
+saturation route in ``oracles`` checks the rank certificate independently;
+Macaulay rows built one entry at a time and ``Polynomial.substitute`` check
+the array-built matrices and the linear elimination.
 """
 
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycover import regseq
@@ -21,7 +24,11 @@ from cycover.regseq import (
     REFUTED_AT_PREFIX,
     _certify_isolated_homogeneous,
     _has_full_column_rank,
+    _linear_images,
+    _macaulay_matrix,
     _rank_check_prime,
+    _reduced_row_echelon,
+    _substitute_linear,
     groebner_basis,
     ideal,
     ideal_dimension,
@@ -34,6 +41,7 @@ from oracles import (
     ideal_intersection,
     ideal_quotient_by,
     is_groebner_basis,
+    macaulay_rows_by_lists,
     origin_isolated_by_saturation,
     saturate_at_origin,
 )
@@ -645,3 +653,101 @@ def test_rank_check_prime_skips_primes_dividing_a_denominator():
     both = form + R2.const(Fraction(1, 2_147_483_587)) * z1**2
     assert _rank_check_prime([both], QQ) == 2_147_483_579
     assert _rank_check_prime([z1], PrimeField(101)) == 101
+
+
+# -- the array-built matrices and the linear elimination against list oracles ------
+
+ARRAY_DOMAINS = (QQ, PrimeField(101), PrimeField(2**61 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ARRAY_DOMAINS),
+    st.integers(1, 4),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.integers(0, 2**31),
+)
+def test_macaulay_matrix_matches_list_oracle(domain, nvars, degrees, seed):
+    # Scaling by 2/3 puts a denominator into every coefficient over Q.
+    ring = ring_over(("z1", "z2", "z3", "z4")[:nvars], domain)
+    forms = [
+        random_homogeneous(ring, d, derive_seed(seed, trial=k)).scale(Fraction(2, 3))
+        for k, d in enumerate(degrees[:nvars])
+    ]
+    assume(all(not g.is_zero() for g in forms))
+    p = _rank_check_prime(forms, domain)
+    for square in (True, False):
+        matrix = _macaulay_matrix(forms, p, square)
+        assert matrix.dtype == (object if p == 2**61 - 1 else np.int64)
+        assert matrix.tolist() == macaulay_rows_by_lists(forms, p, square)
+        if square:
+            assert matrix.shape[0] == matrix.shape[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ARRAY_DOMAINS),
+    st.integers(2, 5),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**31),
+)
+def test_linear_elimination_matches_substitute(domain, nvars, cuts, degree, seed):
+    ring = ring_over(("z1", "z2", "z3", "z4", "z5")[:nvars], domain)
+    cuts = min(cuts, nvars - 1)
+    members = random_linear_cuts(ring, cuts, seed)
+    images = _linear_images(members, ring)
+    generic = random_homogeneous(ring, degree, derive_seed(seed, trial=1))
+    killed = random_homogeneous(ring, degree - 1, derive_seed(seed, trial=2))
+    # A multiple of a cut goes to zero; so, with no cuts, does the zero form.
+    gens = [generic, members[0] * killed if members else ring.zero()]
+    for g in gens:
+        assert _substitute_linear(g, images) == g.substitute(images)
+    assert _substitute_linear(gens[1], images).is_zero()
+
+
+@pytest.mark.parametrize("domain", ARRAY_DOMAINS, ids=["QQ", "GF101", "GF2e61"])
+def test_linear_elimination_with_zero_and_repeated_images(domain):
+    # Images that are zero, scaled variables, one variable twice and a
+    # general form: every shape of linear image, not only the certificate's.
+    ring = ring_over(("a", "b", "c", "d"), domain)
+    target = ring_over(("x", "y"), domain)
+    x, y = target.gens()
+    third = target.const(Fraction(1, 3))
+    g = random_homogeneous(ring, 3, seed=5) + ring.gen(0) ** 3
+    images = [x, target.zero(), x, third * x - y]
+    assert _substitute_linear(g, images) == g.substitute(images)
+    images = [y, x, third * y, x + y]
+    assert _substitute_linear(g, images) == g.substitute(images)
+    assert _substitute_linear(ring.zero(), images).is_zero()
+
+
+def test_linear_images_keep_the_remaining_variables():
+    z1, z2, z3 = R3.gens()
+    images = _linear_images([z1 + z2 + z3, z2 - z3], R3)
+    assert images[0].ring.variables == ("z3",)
+    (t,) = images[0].ring.gens()
+    assert images == [t.scale(-2), t, t]
+    assert _linear_images([z1, z2, z3], R3) is None
+    assert _linear_images([], R3) == [R3.gen(0), R3.gen(1), R3.gen(2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.sampled_from((2, 7, 101, 2**61 - 1)),
+    st.integers(0, 2**31),
+)
+def test_structured_elimination_matches_dense_rank(nrows, ncols, p, seed):
+    # Mostly zero entries, so pivots need row swaps and rows go dependent.
+    rng = Rng(seed)
+    rows = [
+        [rng.below(p) if rng.below(3) == 0 else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    _, pivots = _reduced_row_echelon(rows, PrimeField(p))
+    expected = len(pivots) == ncols
+    assert _has_full_column_rank(rows, ncols, p) == expected
+    dtype = np.int64 if p < 2**31 else object
+    assert _has_full_column_rank(np.array(rows, dtype=dtype), ncols, p) == expected
