@@ -100,10 +100,6 @@ class OrderingTable:
                     f"in ({self.counters[e - 1]}, {self.counters[e]}]"
                 )
 
-    def level_of_slot(self, i: int) -> int:
-        """The level occupying slot i (1-based)."""
-        return self.schedule[i - 1]
-
 
 def ordering_table(family: CoverFamily) -> OrderingTable:
     """Build the level schedule for the main case.

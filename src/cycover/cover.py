@@ -29,6 +29,7 @@ from .modular import (
     det_mod,
     is_kth_power_residue,
     lagrange_interpolate,
+    poly1_eval,
     poly1_roots,
     working_prime,
 )
@@ -909,11 +910,6 @@ class MultiplicityReport:
     def unresolved_count(self) -> int:
         return sum(1 for r in self.records if r.status == CHECK_UNRESOLVED)
 
-    @property
-    def all_resolved_pass(self) -> bool:
-        """No failures, and at least one resolved measurement passed."""
-        return self.fail_count == 0 and self.pass_count > 0
-
     def describe(self) -> str:
         return (
             f"{self.label}: {self.pass_count} pass, {self.fail_count} fail, "
@@ -1106,16 +1102,44 @@ def _sylvester_determinant(f_vals: Sequence[int], g_vals: Sequence[int], p: int)
     return det_mod(rows, p)
 
 
+def _plane_restriction(
+    F: Polynomial, degree: int, anchor: Sequence, first: Sequence, second: Sequence
+) -> list:
+    """F(anchor + s*first + r*second) for a form F of the given degree over
+    GF(p) and canonical coordinates, as one s-column per power of r: entry
+    j lists the coefficients of s^i*r^j, i = 0..degree ascending.
+
+    One ``compose_series`` call with r = t and s = t^(degree+1) puts s^i*r^j
+    at slot i*(degree+1) + j.  Every monomial has i + j <= degree, so no two
+    share a slot and none lies past N = degree*(degree+2); the composition
+    is exact.
+    """
+    field = F.ring.domain
+    step = degree + 1
+    N = degree * (degree + 2)
+    gap = (0,) * (degree - 1)
+    tail = (0,) * (N - step)
+    images = [
+        TruncatedSeries(field, (a, d) + gap + (c,) + tail)
+        for a, c, d in zip(anchor, first, second)
+    ]
+    coeffs = compose_series(F, images, N).coeffs
+    return [coeffs[j::step] for j in range(step)]
+
+
 def sample_point_on_branch(
     instance: CoverInstance, seed: int, budget: int = 32
 ) -> tuple:
     """A random point lying on both the base hypersurface and the branch locus.
 
-    Draws random affine 2-planes a + s*c + r*d, eliminates s through the
-    Sylvester resultant in r of the two restricted forms (evaluated at
-    enough nodes s = x, each a line restriction at anchor a + x*c and
-    direction d, and interpolated), solves for r on each root slice, and
-    re-verifies every candidate against both forms.
+    Draws random affine 2-planes a + s*c + r*d and restricts each form to
+    the plane once (``_plane_restriction``).  F(d) and G(d), the r^degree
+    coefficients, lead in r on every slice; a zero one degenerates the
+    plane.  The slice at s = x, a polynomial in r, is one Horner pass over
+    the s-columns.  s is eliminated through the Sylvester resultant in r of
+    the two slices, evaluated at m*n + 1 nodes s = x and interpolated; r
+    is solved on each root slice, and every candidate is re-verified
+    against both forms.
     """
     branch_form = instance.require_plain("on-branch sampling")
     field = _require_sampling_field(instance, on_branch=True)
@@ -1131,17 +1155,17 @@ def sample_point_on_branch(
         anchor = tuple(rng.below(p) for _ in range(nvars))
         first = tuple(rng.below(p) for _ in range(nvars))
         second = tuple(rng.below(p) for _ in range(nvars))
-        # F(d) and G(d) lead in r on every slice; a zero one degenerates.
-        if poly_eval(base_form, second) == 0 or poly_eval(branch_form, second) == 0:
+        base_plane = _plane_restriction(base_form, m, anchor, first, second)
+        branch_plane = _plane_restriction(branch_form, n, anchor, first, second)
+        if base_plane[m][0] == 0 or branch_plane[n][0] == 0:
             continue
 
-        def slice_at(F: Polynomial, degree: int, x: int) -> tuple:
-            at = tuple((a + x * c) % p for a, c in zip(anchor, first))
-            return _line_restriction(F, degree, at, second)
+        def slice_at(columns: list, x: int) -> list:
+            return [poly1_eval(column, x, p) for column in columns]
 
         ys = [
             _sylvester_determinant(
-                slice_at(base_form, m, x), slice_at(branch_form, n, x), p
+                slice_at(base_plane, x), slice_at(branch_plane, x), p
             )
             for x in nodes
         ]
@@ -1153,7 +1177,7 @@ def sample_point_on_branch(
         )
         for s0 in s_roots:
             r_roots = poly1_roots(
-                slice_at(base_form, m, s0),
+                slice_at(base_plane, s0),
                 p,
                 seed=derive_seed(seed, trial=attempt, point=2, purpose=PURPOSE_ROOT_SPLIT),
             )

@@ -69,11 +69,6 @@ class CoverFamily:
         """Number of affine chart coordinates (dimension + 1)."""
         return self.dimension + 1
 
-    @property
-    def ambient_weights(self) -> tuple:
-        """Weights of the weighted projective ambient space."""
-        return (1,) * self.ambient_variable_count + (self.branch_weight,)
-
     def describe(self) -> str:
         return (
             f"dimension {self.dimension}, base degree {self.base_degree}, "

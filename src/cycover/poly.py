@@ -14,6 +14,7 @@ descending graded reverse lexicographic order, so ``text()`` is canonical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -609,11 +610,26 @@ def _exponents_of_weighted_degree(weights: Sequence[int], degree: int):
             yield (e,) + rest
 
 
+@functools.lru_cache(maxsize=256)
+def _monomials(weights: tuple, degree: int) -> tuple:
+    # All tuples share the weighted degree, so ``PolyRing.term_key`` orders
+    # them by its tie-break alone: the last differing exponent, smaller first.
+    return tuple(
+        sorted(
+            _exponents_of_weighted_degree(weights, degree),
+            key=lambda exps: tuple(-e for e in reversed(exps)),
+            reverse=True,
+        )
+    )
+
+
 def monomials_of_degree(ring: PolyRing, degree: int) -> list:
-    """All exponent tuples of the given weighted degree, grevlex-descending."""
-    exps = list(_exponents_of_weighted_degree(ring.weights, degree))
-    exps.sort(key=ring.term_key, reverse=True)
-    return exps
+    """All exponent tuples of the given weighted degree, grevlex-descending.
+
+    The order depends only on the weights, so the sorted tuples are cached
+    on (weights, degree); each call returns a fresh list.
+    """
+    return list(_monomials(ring.weights, degree))
 
 
 def random_homogeneous(ring: PolyRing, degree: int, seed: int) -> Polynomial:

@@ -38,6 +38,7 @@ budget runs out the dimension is reported as unknown.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -177,31 +178,35 @@ def groebner_basis(
             basis.append(monic)
     if not basis:
         return GroebnerBasis(ring, ())
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # Leading exponents are stored as members join, and each pending pair
+    # is keyed once, when it is added: (term_key of the lcm, i, j).
+    leads = [g.leading()[0] for g in basis]
+    pending: list = []
+    waiting = set()
+
+    def add_pairs(j: int) -> None:
+        for i in range(j):
+            both = _lcm(leads[i], leads[j])
+            heapq.heappush(pending, (ring.term_key(both), i, j, both))
+            waiting.add((i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     steps = 0
-
-    def pair_key(pair):
-        i, j = pair
-        both = _lcm(basis[i].leading()[0], basis[j].leading()[0])
-        return (ring.term_key(both), i, j)
-
     while pending:
-        i, j = min(pending, key=pair_key)
-        pending.discard((i, j))
-        lead_i = basis[i].leading()[0]
-        lead_j = basis[j].leading()[0]
-        if _coprime(lead_i, lead_j):
+        _, i, j, both = heapq.heappop(pending)
+        waiting.discard((i, j))
+        if _coprime(leads[i], leads[j]):
             continue
-        both = _lcm(lead_i, lead_j)
         chained = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if not _divides(basis[k].leading()[0], both):
+            if not _divides(leads[k], both):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
+            if a not in waiting and b not in waiting:
                 chained = True
                 break
         if chained:
@@ -211,9 +216,10 @@ def groebner_basis(
             raise BudgetExceededError(budget, context)
         remainder = normal_form(_s_polynomial(basis[i], basis[j]), basis)
         if not remainder.is_zero():
-            basis.append(remainder.monic())
-            new = len(basis) - 1
-            pending.update((k, new) for k in range(new))
+            member = remainder.monic()
+            basis.append(member)
+            leads.append(member.leading()[0])
+            add_pairs(len(basis) - 1)
 
     # Minimalize: drop members whose leading term another one divides.
     minimal: list = []

@@ -89,8 +89,3 @@ class Rng:
             value = self.below(n)
             if value:
                 return value
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]

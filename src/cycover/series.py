@@ -19,12 +19,19 @@ polynomial multiplication via multipoint Kronecker substitution"): a
 product is one big-int product masked to the low N + 1 slots, and the
 result is reduced mod p once, when it is unpacked.  ``_slot_bytes`` states
 the width that keeps every slot exact.
+
+Newton lifting (``_newton_lift``, behind ``arc_lift`` and
+``series_kth_root``) packs the same way over GF(p): its Horner chains run
+on unreduced slots as wide as ``_newton_bytes`` states, and only the
+residual and the slope are unpacked, once per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .poly import (
@@ -266,7 +273,7 @@ class TruncatedSeries:
 
     def pow_int(self, e: int) -> "TruncatedSeries":
         if e < 0:
-            raise ValueError("negative powers: use inverse() first")
+            raise ValueError("negative powers are not supported")
         result = series_constant(self.domain, self.domain.one, self.order_bound)
         base = self
         while e:
@@ -276,21 +283,6 @@ class TruncatedSeries:
             if e:
                 base = base * base
         return result
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires c_0 invertible (nonzero)."""
-        domain = self.domain
-        if domain.is_zero(self[0]):
-            raise ZeroDivisionError("series with c_0 = 0 has no inverse")
-        n = self.order_bound
-        # Newton: v <- v(2 - a v) doubles the number of correct coefficients.
-        v = series_constant(domain, domain.inv(self[0]), n)
-        two = series_constant(domain, domain.add(domain.one, domain.one), n)
-        correct = 1
-        while correct <= n:
-            v = v * (two - self * v)
-            correct *= 2
-        return v
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -309,8 +301,10 @@ def series_zero(domain: Domain, N: int) -> TruncatedSeries:
 def series_kth_root(c: TruncatedSeries, K: int) -> TruncatedSeries:
     """r with r^K = c through the order bound; requires c_0 = 1 and r_0 = 1.
 
-    Solved degree by degree: writing r = R + r_d t^d with R known below
-    degree d, the t^d coefficient of r^K is [R^K]_d + K r_d.
+    r = 1 + s, where s(0) = 0 is the Newton lift of (1 + s)^K − c: the
+    coefficients of s^k are C(K, k) for k ≥ 1 and 1 − c for k = 0, and the
+    slope at s = 0 is K, invertible wherever K is accepted.  The lift runs
+    on ``_newton_lift``, packed over GF(p), in every characteristic.
     """
     domain = c.domain
     if c[0] != domain.one:
@@ -320,14 +314,12 @@ def series_kth_root(c: TruncatedSeries, K: int) -> TruncatedSeries:
     characteristic = domain.characteristic
     if characteristic and K % characteristic == 0:
         raise ValueError("root index divisible by the characteristic")
-    inv_K = domain.inv(domain.of(K))
     n = c.order_bound
-    coeffs = [domain.one] + [domain.zero] * n
-    for d in range(1, n + 1):
-        power = TruncatedSeries(domain, tuple(coeffs)).truncate(d).pow_int(K)
-        delta = domain.sub(c[d], power[d])
-        coeffs[d] = domain.mul(delta, inv_K)
-    return TruncatedSeries(domain, tuple(coeffs))
+    parts = [series_constant(domain, domain.one, n) - c] + [
+        series_constant(domain, comb(K, k), n) for k in range(1, K + 1)
+    ]
+    s = _newton_lift(parts, n)
+    return TruncatedSeries(domain, (domain.one,) + s.coeffs[1:])
 
 
 # -- polynomial composition with series and formal arcs ------------------------
@@ -381,32 +373,26 @@ class _Packed:
         return _Packed(self.value * scalar, self.mask)
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """Canonical coefficients as one int, ``width`` bytes per slot."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(value: int, width: int, slots: int, p: int) -> list:
+    """The low ``slots`` slots of a packed int, each reduced mod p."""
+    raw = value.to_bytes(width * slots, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
+
+
 def _compose_packed(
     F: Polynomial, series: Sequence[TruncatedSeries], N: int
 ) -> TruncatedSeries:
     field = F.ring.domain
-    p = field.p
     width = _slot_bytes(F, N)
     mask = (1 << (8 * width * (N + 1))) - 1
-    images = [
-        _Packed(
-            int.from_bytes(
-                b"".join(c.to_bytes(width, "little") for c in s.coeffs[: N + 1]),
-                "little",
-            ),
-            mask,
-        )
-        for s in series
-    ]
+    images = [_Packed(_pack(s.coeffs[: N + 1], width), mask) for s in series]
     packed = compose(F, images, _Packed(1, mask)).value
-    raw = packed.to_bytes(width * (N + 1), "little")
-    return TruncatedSeries(
-        field,
-        tuple(
-            int.from_bytes(raw[i : i + width], "little") % p
-            for i in range(0, len(raw), width)
-        ),
-    )
+    return TruncatedSeries(field, tuple(_unpack(packed, width, N + 1, field.p)))
 
 
 def compose_series(
@@ -540,11 +526,10 @@ def arc_lift(
     is s and the remaining variables follow ``free_values``.
 
     F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k composed
-    with the free series once by ``compose_series``.  Newton iteration then solves the
-    linearization at the current approximation, doubling the correct order,
-    so the residual vanishes through t^N after ~log2(N) steps; one Horner
-    pass in s yields both F and ∂F/∂s.  Requires the origin to lie on
-    {F = 0} (c_0(0) = 0) with the solved direction transverse (c_1(0) ≠ 0).
+    with the free series once by ``compose_series``; ``_newton_lift`` then
+    solves Σ_k c_k·s^k = 0, over GF(p) on packed ints.  Requires the origin
+    to lie on {F = 0} (c_0(0) = 0) with the solved direction transverse
+    (c_1(0) ≠ 0).
     """
     ring = F.ring
     domain = ring.domain
@@ -574,21 +559,115 @@ def arc_lift(
         raise SingularDirectionError(
             "partial derivative in the solved direction vanishes at the origin"
         )
+    return _newton_lift(c, N)
 
-    current = series_zero(domain, N)
-    # Quadratic convergence: correct through order 2^steps after `steps` steps.
+
+def _newton_lift(c: Sequence[TruncatedSeries], N: int) -> TruncatedSeries:
+    """s with s(0) = 0 and Σ_k c_k·s^k ≡ 0 mod t^(N+1), by Newton iteration
+    from s = 0; requires c_0(0) = 0 and c_1(0) invertible.
+
+    A step from an approximation correct below t^k solves the linearization
+    mod t^(2k), which makes it correct below t^(2k) (Brent & Kung 1978), so
+    each step runs at twice the last precision, up to N.  One Horner pass
+    in s yields the residual and the slope ∂/∂s (over GF(p) on packed ints,
+    ``_packed_horner``; over Q on ``TruncatedSeries``), and the update
+    residual/slope comes from the O(N²) division recurrence.  The lift is
+    accepted only once the residual vanishes through t^N.
+    """
+    domain = c[0].domain
+    if isinstance(domain, PrimeField):
+        horner = _packed_horner(c, N)
+    else:
+        horner = _series_horner(c)
+    current = [domain.zero] * (N + 1)
+    known = 1  # current is correct below t^known
     steps = 0
     while True:
-        residual, slope = c[-1], series_zero(domain, N)
-        for coefficient in reversed(c[:-1]):
-            slope = slope * current + residual
-            residual = residual * current + coefficient
-        if residual.order() is None:
+        n = min(N, 2 * known - 1)
+        residual, slope = horner(current, n)
+        if any(not domain.is_zero(x) for x in residual):
+            update = _quotient(residual, slope, domain)
+            current[: n + 1] = [domain.sub(x, u) for x, u in zip(current, update)]
+            steps += 1
+            if steps > N.bit_length() + 3:
+                raise ArithmeticError("Newton iteration failed to converge")
+        elif n == N:
             break
-        current = current - residual * slope.inverse()
-        steps += 1
-        if steps > N.bit_length() + 3:
-            raise ArithmeticError("Newton iteration failed to converge")
+        known = n + 1
     if not domain.is_zero(current[0]):
         raise ArithmeticError("lifted series does not vanish at t = 0")
-    return current
+    return TruncatedSeries(domain, tuple(current))
+
+
+def _quotient(r: Sequence, s: Sequence, domain: Domain) -> list:
+    """q with q·s ≡ r mod t^len(r), for s_0 invertible: the O(N²)
+    recurrence q_k = (r_k − Σ_{j=1..k} s_j·q_(k−j)) / s_0."""
+    inv = domain.inv(s[0])
+    q: list = []
+    for k, rk in enumerate(r):
+        q.append(domain.mul(domain.of(rk - sum(map(mul, s[1 : k + 1], reversed(q)))), inv))
+    return q
+
+
+def _series_horner(c: Sequence[TruncatedSeries]):
+    """Residual and slope through t^n at a coefficient list, on
+    ``TruncatedSeries``."""
+    domain = c[0].domain
+
+    def horner(current: list, n: int) -> tuple:
+        s = TruncatedSeries(domain, tuple(current[: n + 1]))
+        residual, slope = c[-1].truncate(n), series_zero(domain, n)
+        for coefficient in reversed(c[:-1]):
+            slope = slope * s + residual
+            residual = residual * s + coefficient.truncate(n)
+        return residual.coeffs, slope.coeffs
+
+    return horner
+
+
+def _newton_bytes(p: int, m: int, N: int) -> int:
+    """Bytes per slot that keep the Horner chains of ``_packed_horner``
+    exact, for c_0..c_m and the approximation packed with slots in [0, p)
+    and truncated at t^n for any n ≤ N.
+
+    Nothing is reduced before unpacking.  With B = p − 1 and X = B·(N + 1),
+    a masked product of slots bounded by u and by B has slots of at most
+    u·X (one slot sums at most N + 1 products, and so do the dropped slots
+    above the mask).  The residual chain R_0 = B, R_(j+1) = R_j·X + B gives
+    R_j ≤ B·(j + 1)·X^j, and the slope chain S_0 = 0, S_(j+1) = S_j·X + R_j
+    gives S_j ≤ B·X^(j−1)·j·(j + 1)/2.  After the m steps of one pass both
+    are at most B·(m + 1)²·X^m = (m + 1)²·(p − 1)^(m+1)·(N + 1)^m, and every
+    earlier value is smaller, so a width of bit_length of that bound plus
+    one bit keeps every slot exact and no carry crosses a slot.
+    """
+    bound = (m + 1) ** 2 * (p - 1) ** (m + 1) * (N + 1) ** m
+    return (bound.bit_length() + 1 + 7) // 8
+
+
+def _horner_chains(packed: Sequence[int], value: int, mask: int) -> tuple:
+    """Σ_k c_k·s^k and its s-derivative at s = ``value``, on packed ints
+    with unreduced slots, masked to the low slots (``_newton_bytes``)."""
+    residual, slope = packed[-1], 0
+    for coefficient in reversed(packed[:-1]):
+        slope = (slope * value & mask) + residual
+        residual = (residual * value & mask) + coefficient
+    return residual, slope
+
+
+def _packed_horner(c: Sequence[TruncatedSeries], N: int):
+    """Residual and slope through t^n at a coefficient list over GF(p):
+    c_0..c_m are packed once, ``_newton_bytes`` wide; each call packs the
+    approximation, runs both chains on unreduced slots and unpacks and
+    reduces only the two results."""
+    p = c[0].domain.p
+    width = _newton_bytes(p, len(c) - 1, N)
+    packed = [_pack(part.coeffs[: N + 1], width) for part in c]
+
+    def horner(current: list, n: int) -> tuple:
+        mask = (1 << (8 * width * (n + 1))) - 1
+        chains = _horner_chains(
+            [x & mask for x in packed], _pack(current[: n + 1], width), mask
+        )
+        return tuple(_unpack(value, width, n + 1, p) for value in chains)
+
+    return horner

@@ -4,7 +4,15 @@ from typing import Optional, Sequence
 
 from cycover.cover import CoverInstance
 from cycover.poly import Domain, Polynomial, PrimeField
+from cycover.seeds import Rng
 from cycover.series import TruncatedSeries, phi_polynomials
+
+
+def shuffle(rng: Rng, items: list) -> None:
+    """Fisher-Yates shuffle in place, drawing from ``rng``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def series_parameter(domain: Domain, N: int) -> TruncatedSeries:

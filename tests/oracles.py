@@ -9,8 +9,12 @@ library by other means, so a test can compare the two:
   does for homogeneous ideals;
 * polynomials composed with series term by term, each exponent powered on
   its own, as against the power-caching ``cycover.poly.compose``;
-* the Newton lift that composes F and ∂F/∂s on every step, as against
-  ``cycover.series.arc_lift``, which composes F once;
+* the Newton lift that composes F and ∂F/∂s on every step and divides by
+  the slope through its Newton inverse, as against
+  ``cycover.series.arc_lift``, which composes F once and divides by the
+  division recurrence;
+* K-th roots of series solved degree by degree, re-powering the partial
+  root each time, as against the Newton lift of ``series_kth_root``;
 * Macaulay matrices built row by row as Python lists, one dict lookup per
   entry, as against the array scatter of ``cycover.regseq``.
 """
@@ -202,6 +206,22 @@ def poly_on_series_by_terms(
     return total
 
 
+def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse of a series with c_0 invertible, by Newton:
+    v <- v(2 - a v) doubles the number of correct coefficients."""
+    domain = a.domain
+    if domain.is_zero(a[0]):
+        raise ZeroDivisionError("series with c_0 = 0 has no inverse")
+    n = a.order_bound
+    v = series_constant(domain, domain.inv(a[0]), n)
+    two = series_constant(domain, domain.add(domain.one, domain.one), n)
+    correct = 1
+    while correct <= n:
+        v = v * (two - a * v)
+        correct *= 2
+    return v
+
+
 def arc_lift_by_recomposition(
     F: Polynomial,
     solved_var: int,
@@ -231,8 +251,22 @@ def arc_lift_by_recomposition(
         if residual.order() is None:
             return current
         slope = poly_on_series_by_terms(partial, assignment)
-        current = current - residual * slope.inverse()
+        current = current - residual * series_inverse(slope)
     raise ArithmeticError("Newton iteration failed to converge")
+
+
+def kth_root_degree_by_degree(c: TruncatedSeries, K: int) -> TruncatedSeries:
+    """r with r^K = c and r_0 = 1, for c_0 = 1 and K invertible: writing
+    r = R + r_d t^d with R known below degree d, the t^d coefficient of r^K
+    is [R^K]_d + K r_d."""
+    domain = c.domain
+    inv_K = domain.inv(domain.of(K))
+    n = c.order_bound
+    coeffs = [domain.one] + [domain.zero] * n
+    for d in range(1, n + 1):
+        power = TruncatedSeries(domain, tuple(coeffs)).truncate(d).pow_int(K)
+        coeffs[d] = domain.mul(domain.sub(c[d], power[d]), inv_K)
+    return TruncatedSeries(domain, tuple(coeffs))
 
 
 # -- Macaulay matrices, one entry at a time ------------------------------------

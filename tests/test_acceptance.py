@@ -74,6 +74,8 @@ from cycover.seeds import (
 )
 from cycover.series import gamma_coefficients, phi_polynomials
 
+from helpers import shuffle
+
 WORKHORSE = CoverFamily(
     dimension=5, base_degree=4, branch_weight=2, cover_degree=2
 )
@@ -128,7 +130,7 @@ def test_truncated_root_powers_recover_the_series():
             nvars = 1 + index % 4
             ring = ring_over(tuple(f"v{i}" for i in range(nvars)), QQ)
             candidates = list(range(1, max_k + 1))
-            rng.shuffle(candidates)
+            shuffle(rng, candidates)
             degrees = sorted(candidates[: 1 + rng.int_range(0, 3)])
             pieces = {
                 d: random_homogeneous(

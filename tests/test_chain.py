@@ -32,7 +32,6 @@ class TestFamily:
         assert fam.branch_degree == 4
         assert fam.ambient_variable_count == 7
         assert fam.chart_variable_count == 6
-        assert fam.ambient_weights == (1, 1, 1, 1, 1, 1, 1, 2)
 
     def test_defining_relation_enforced(self):
         with pytest.raises(FamilyConstraintError) as err:
@@ -85,8 +84,6 @@ class TestOrderingTable:
         assert table.counters[4] == 4
         assert table.counters[-1] == fam.dimension - 3
         assert table.schedule == (3, 3, 4, 4)
-        assert table.level_of_slot(1) == 3
-        assert table.level_of_slot(4) == 4
 
     def test_counters_vanish_below_three(self):
         fam = CoverFamily(7, 5, 3, 2)

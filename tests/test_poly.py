@@ -5,6 +5,7 @@ independent one-line computation) before the implementation existed; they
 are the contract, not a regression snapshot.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -195,6 +196,35 @@ class TestCanonicalForm:
         ring = ring_over(("z", "y"), QQ, weights=(1, 3))
         exps = monomials_of_degree(ring, 3)
         assert set(exps) == {(3, 0), (0, 1)}
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 1), (2, 1, 3, 1)])
+    def test_monomials_of_degree_sorted_by_term_key(self, weights):
+        # The cached order must be the ring's own grevlex order.
+        ring = ring_over(tuple(f"v{i}" for i in range(len(weights))), QQ, weights=weights)
+        for degree in range(7):
+            expected = sorted(
+                (
+                    e
+                    for e in itertools.product(range(degree + 1), repeat=len(weights))
+                    if ring.wdeg(e) == degree
+                ),
+                key=ring.term_key,
+                reverse=True,
+            )
+            assert monomials_of_degree(ring, degree) == expected
+
+    def test_monomials_of_degree_cache_cannot_be_mutated(self):
+        ring = ring_over(("a", "b", "c"), PrimeField(101))
+        first = monomials_of_degree(ring, 3)
+        expected = list(first)
+        first.reverse()
+        first.append((9, 9, 9))
+        first[0] = (0, 0, 0)
+        again = monomials_of_degree(ring, 3)
+        assert again == expected
+        assert again is not first
+        again.clear()
+        assert monomials_of_degree(ring, 3) == expected
 
     def test_derivative(self):
         z1, z2 = R2.gens()

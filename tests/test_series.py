@@ -36,8 +36,14 @@ from cycover.series import (
     series_zero,
     truncate_f,
 )
+from cycover.series import _horner_chains, _newton_bytes
 from helpers import series_parameter, truncated_kth_root
-from oracles import arc_lift_by_recomposition, poly_on_series_by_terms
+from oracles import (
+    arc_lift_by_recomposition,
+    kth_root_degree_by_degree,
+    poly_on_series_by_terms,
+    series_inverse,
+)
 
 R2 = ring_over(("z1", "z2"))
 F = Fraction
@@ -225,13 +231,13 @@ class TestTruncatedSeries:
 
     def test_inverse(self):
         a = QS(1, 1, 0, 0, 0)  # 1 + t
-        inv = a.inverse()
+        inv = series_inverse(a)
         assert inv.coeffs == (F(1), F(-1), F(1), F(-1), F(1))
         assert (a * inv).coeffs == (F(1), F(0), F(0), F(0), F(0))
 
     def test_inverse_requires_unit(self):
         with pytest.raises(ZeroDivisionError):
-            QS(0, 1).inverse()
+            series_inverse(QS(0, 1))
 
     def test_square_root_of_one_plus_t(self):
         c = series_constant(QQ, 1, 3) + series_parameter(QQ, 3)
@@ -387,7 +393,7 @@ def test_series_root_round_trip(tail, K):
 )
 def test_series_inverse_round_trip(tail):
     a = TruncatedSeries(QQ, tuple([F(1)] + tail))
-    product = a * a.inverse()
+    product = a * series_inverse(a)
     expected = series_constant(QQ, 1, a.order_bound)
     assert product == expected
 
@@ -520,3 +526,93 @@ def test_arc_lift_matches_recomposing_newton(data):
     }
     lifted = arc_lift(Fpoly, solved, free, N)
     assert lifted == arc_lift_by_recomposition(Fpoly, solved, free, N)
+
+
+ROOT_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), GF101, PrimeField(2**61 - 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kth_root_matches_degree_by_degree(data):
+    # GF(2) through GF(5) lie below the order bound, where Φ_i need their
+    # own fork; the Newton root has none.
+    domain = data.draw(st.sampled_from(ROOT_FIELDS))
+    K = data.draw(
+        st.sampled_from([2, 3, 4, 5]).filter(
+            lambda k: not domain.characteristic or k % domain.characteristic
+        )
+    )
+    tail = data.draw(st.lists(_elements(domain), max_size=10))
+    c = _series(domain, [1] + tail)
+    assert series_kth_root(c, K) == kth_root_degree_by_degree(c, K)
+
+
+def _mod_p(x: Fraction, p: int) -> int:
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_lift_equals_rational_lift_mod_p(data):
+    # Over Q the lift only divides by powers of c_1(0), so reducing it mod
+    # a prime that does not divide c_1(0) gives the lift over GF(p).
+    p = data.draw(st.sampled_from([2, 3, 5, 101, 2**61 - 1]))
+    ints = st.integers(-9, 9)
+    ring = ring_over(NAMES3, QQ)
+    solved = data.draw(st.integers(0, 2))
+    N = data.draw(st.integers(1, 10))
+    terms = data.draw(
+        st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in NAMES3)), ints, max_size=6)
+    )
+    terms.pop((0, 0, 0), None)
+    exps = [0, 0, 0]
+    exps[solved] = 1
+    terms[tuple(exps)] = data.draw(ints.filter(lambda v: v % p))
+    free = {
+        i: [0] + data.draw(st.lists(ints, min_size=N, max_size=N))
+        for i in range(3)
+        if i != solved
+    }
+    field = PrimeField(p)
+    field_ring = ring_over(NAMES3, field)
+    rational = arc_lift(
+        Polynomial(ring, {e: F(v) for e, v in terms.items()}),
+        solved,
+        {i: _series(QQ, v) for i, v in free.items()},
+        N,
+    )
+    packed = arc_lift(
+        Polynomial(field_ring, {e: field.of(v) for e, v in terms.items()}),
+        solved,
+        {i: _series(field, v) for i, v in free.items()},
+        N,
+    )
+    assert packed.coeffs == tuple(_mod_p(x, p) for x in rational.coeffs)
+
+
+@pytest.mark.parametrize("p", [5, 2**61 - 1], ids=["5", "2^61-1"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_newton_width_worst_case(p, m):
+    # Every slot of c_0..c_m and of the approximation is p − 1: the packed
+    # Horner chains, unpacked without reduction, equal the same chains run
+    # on exact integers, so no slot carried into its neighbour.
+    N = 8
+    width = _newton_bytes(p, m, N)
+    size = width * (N + 1)
+    top = [p - 1] * (N + 1)
+    packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in top), "little")
+    residual, slope = _horner_chains([packed] * (m + 1), packed, (1 << (8 * size)) - 1)
+
+    def slots(value):
+        raw = value.to_bytes(size, "little")
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)]
+
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(N + 1)]
+
+    exact_residual, exact_slope = top, [0] * (N + 1)
+    for _ in range(m):
+        exact_slope = [x + y for x, y in zip(times(exact_slope, top), exact_residual)]
+        exact_residual = [x + y for x, y in zip(times(exact_residual, top), top)]
+    assert slots(residual) == exact_residual
+    assert slots(slope) == exact_slope
