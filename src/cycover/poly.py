@@ -532,7 +532,9 @@ def homogeneous_component(F: Polynomial, degree: int) -> Polynomial:
 
 def compose(F: Polynomial, images: Sequence, one):
     """F at one image per variable, in any algebra whose elements support
-    ``+``, ``*`` and ``scale``; ``one`` is that algebra's unit.
+    ``+``, ``*`` and ``scale``; ``one`` is that algebra's unit.  It serves
+    ``Polynomial.substitute``; series have their own packed kernel,
+    ``series.compose_series``.
 
     Each image's powers are built once, one product per exponent, up to the
     largest exponent F has in that variable.  A term is the product of its

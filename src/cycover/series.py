@@ -11,14 +11,17 @@ Two closely related expansions live here:
 All arithmetic is exact (rationals or a prime field); truncation order is
 explicit everywhere and results never claim precision beyond it.
 
-Composing a polynomial with series (``compose_series``) runs through
-``poly.compose`` in one of two algebras.  Over Q the images are
-``TruncatedSeries``.  Over GF(p) each series is packed into one Python int,
-w bits per coefficient (Kronecker substitution; Harvey 2009, "Faster
-polynomial multiplication via multipoint Kronecker substitution"): a
-product is one big-int product masked to the low N + 1 slots, and the
-result is reduced mod p once, when it is unpacked.  ``_slot_bytes`` states
-the width that keeps every slot exact.
+Composing a polynomial with series (``compose_series``) runs on one packed
+kernel over plain ints for both fields (``_compose_integers``).  Each series
+is packed into one Python int, w bits per coefficient (Kronecker
+substitution; Schönhage 1982; Harvey 2009, "Faster polynomial
+multiplication via multipoint Kronecker substitution"): a product is one
+big-int product masked to its low slots.  The kernel strips each series'
+t-order, skips the terms of F that vanish mod t^(N+1), and truncates every
+other term at N minus its order.  Over Q the denominators are cleared
+first, so slots are signed; over GF(p) they hold canonical residues and are
+reduced mod p once, when unpacked.  ``_slot_bytes`` states the width that
+keeps every slot exact.
 
 Newton lifting (``_newton_lift``, behind ``arc_lift`` and
 ``series_kth_root``) packs the same way over GF(p): its Horner chains run
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
@@ -38,7 +41,6 @@ from .poly import (
     Domain,
     Polynomial,
     PrimeField,
-    compose,
     homogeneous_component,
     poly_mul_truncated,
     truncate_degree,
@@ -325,57 +327,39 @@ def series_kth_root(c: TruncatedSeries, K: int) -> TruncatedSeries:
 # -- polynomial composition with series and formal arcs ------------------------
 
 
-def _slot_bytes(F: Polynomial, N: int) -> int:
-    """Bytes per slot that keep the packed composition of F over GF(p),
-    truncated at t^N, exact.
+def _slot_bytes(T: int, C: int, A: int, d: int, N: int) -> int:
+    """Bytes per slot that keep a packed composition truncated at t^N exact:
+    T terms with integer coefficients of absolute value at most C and
+    exponent sums at most d, at integer images whose coefficients are at
+    most A in absolute value.
 
-    Nothing is reduced mod p before unpacking, so every slot holds a
-    nonnegative integer.  Image slots lie in [0, p).  One slot of a masked
-    product sums at most N + 1 products of a slot of each factor, and the
-    slots above N that the mask drops obey the same count.  So the power
-    s^e that ``compose`` builds has slots of at most (N+1)^(e−1)·(p−1)^e, and
-    a term c·s_1^e_1⋯s_k^e_k with exponent sum d, built from the first power
-    scaled by c ≤ p − 1 and then multiplied by the others, has slots of at
-    most (p−1)^(d+1)·(N+1)^max(d−1, 0).  F has T terms with exponent sums at
-    most d (T counted as at least 1, which covers the images' own slots
-    when F is zero), so every intermediate slot is at most
-    B = T·(p−1)^(d+1)·(N+1)^max(d−1, 0) < 2^w for a width w of
-    bit_length(B) + 1 bits.  No carry then crosses a slot, and masking the
-    low N + 1 slots is exact truncation.
+    One slot of a truncated product sums at most N + 1 products of a slot
+    of each factor, so a product of e images has slots of at most
+    (N + 1)^(e−1)·A^e, and truncating a term further, or shifting it up,
+    never raises a slot.  Every slot of the result is then at most
+    B = T·C·A^d·(N + 1)^max(d−1, 0) in absolute value, and so is every
+    slot of a sum of some of the terms.  A width of bit_length(B) bits plus
+    a sign bit holds each such slot as a balanced residue, in
+    [−2^(w−1), 2^(w−1)).  Over GF(p), C and A are at most p − 1.
     """
-    p = F.ring.domain.p
-    d = max((sum(exps) for exps in F.terms), default=0)
-    bound = max(len(F.terms), 1) * (p - 1) ** (d + 1) * (N + 1) ** max(d - 1, 0)
+    bound = T * C * A**d * (N + 1) ** max(d - 1, 0)
     return (bound.bit_length() + 1 + 7) // 8
 
 
-class _Packed:
-    """A series truncated at t^N over GF(p), packed into one unreduced int.
-
-    The algebra ``compose`` works in over GF(p): ``+`` adds slot by slot,
-    ``*`` multiplies and keeps the low N + 1 slots (``mask``), and ``scale``
-    multiplies every slot by a canonical field element.
-    """
-
-    __slots__ = ("value", "mask")
-
-    def __init__(self, value: int, mask: int):
-        self.value = value
-        self.mask = mask
-
-    def __add__(self, other: "_Packed") -> "_Packed":
-        return _Packed(self.value + other.value, self.mask)
-
-    def __mul__(self, other: "_Packed") -> "_Packed":
-        return _Packed(self.value * other.value & self.mask, self.mask)
-
-    def scale(self, scalar: int) -> "_Packed":
-        return _Packed(self.value * scalar, self.mask)
-
-
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Canonical coefficients as one int, ``width`` bytes per slot."""
+    """Coefficients in [0, 2^(8·width)) as one int, ``width`` bytes per slot."""
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _bias(width: int, slots: int) -> int:
+    """2^(w−1) in each of ``slots`` slots of w = 8·width bits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack_signed(coeffs: Sequence[int], width: int) -> int:
+    """Σ c_k·2^(wk) for signed c_k with |c_k| < 2^(w−1), w = 8·width."""
+    half = 1 << (8 * width - 1)
+    return _pack([c + half for c in coeffs], width) - _bias(width, len(coeffs))
 
 
 def _unpack(value: int, width: int, slots: int, p: int) -> list:
@@ -384,15 +368,75 @@ def _unpack(value: int, width: int, slots: int, p: int) -> list:
     return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
 
 
-def _compose_packed(
-    F: Polynomial, series: Sequence[TruncatedSeries], N: int
-) -> TruncatedSeries:
-    field = F.ring.domain
-    width = _slot_bytes(F, N)
-    mask = (1 << (8 * width * (N + 1))) - 1
-    images = [_Packed(_pack(s.coeffs[: N + 1], width), mask) for s in series]
-    packed = compose(F, images, _Packed(1, mask)).value
-    return TruncatedSeries(field, tuple(_unpack(packed, width, N + 1, field.p)))
+def _unpack_signed(value: int, width: int, slots: int) -> list:
+    """The signed slots c_k of value = Σ c_k·2^(wk), each |c_k| < 2^(w−1):
+    adding 2^(w−1) to every slot makes each one a plain w-bit digit."""
+    half = 1 << (8 * width - 1)
+    raw = (value + _bias(width, slots)).to_bytes(width * slots, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+
+
+def _reaching_terms(F: Polynomial, orders: Sequence[int], N: int) -> list:
+    """(α, c, o) for each term c·z^α of F whose t-order o = Σ α_i·v_i,
+    with v_i the order of image i, is at most N; the others vanish mod
+    t^(N+1)."""
+    out = []
+    for exps, c in F.terms.items():
+        o = sum(e * v for e, v in zip(exps, orders) if e)
+        if o <= N:
+            out.append((exps, c, o))
+    return out
+
+
+def _compose_integers(
+    terms: Sequence[tuple], images: Sequence[Sequence[int]], orders: Sequence[int], N: int
+) -> list:
+    """Coefficients through t^N of Σ c·Π_i z_i(t)^(α_i) over the integers,
+    by Kronecker substitution, for ``terms`` (α, c, o) from
+    ``_reaching_terms`` and ``images`` z_i of t-order v_i = ``orders[i]``,
+    given by their coefficients 0..N.
+
+    A term of order o only reaches the slots o..N.  It is formed from
+    cached powers of the stripped images z_i/t^(v_i), truncated mod
+    t^(N+1−o), that is, masked to its low N + 1 − o slots.  Terms of one
+    order are summed, and the sum is reduced to its balanced residue.  With
+    ``_slot_bytes`` wide slots that residue is exactly the sum's packed
+    value, signed slots and all, because truncation mod 2^(w(N+1−o)) is a
+    ring map.  So it is shifted up o slots and added in, with no further
+    mask, and the total is unpacked once.
+    """
+    if not terms:
+        return [0] * (N + 1)
+    width = _slot_bytes(
+        len(terms),
+        max(abs(c) for _, c, _ in terms),
+        max((abs(x) for z in images for x in z), default=0),
+        max(sum(exps) for exps, _, _ in terms),
+        N,
+    )
+    bits = 8 * width
+    masks = [(1 << (bits * (N + 1 - o))) - 1 for o in range(N + 1)]
+    powers: list = [None] * len(images)  # powers[i][e] = (z_i/t^(v_i))^e
+    sums = [0] * (N + 1)
+    for exps, c, o in terms:
+        mask = masks[o]
+        term = c
+        for i, e in enumerate(exps):
+            if e:
+                v = orders[i]
+                chain = powers[i]
+                if chain is None:
+                    chain = powers[i] = [1, _pack_signed(images[i][v:], width) & masks[v]]
+                while len(chain) <= e:
+                    chain.append(chain[-1] * chain[1] & masks[len(chain) * v])
+                term = term * (chain[e] & mask) & mask
+        sums[o] += term
+    total = 0
+    for o, value in enumerate(sums):
+        if value:
+            half = (masks[o] + 1) >> 1
+            total += (((value + half) & masks[o]) - half) << (bits * o)
+    return _unpack_signed(total, width, N + 1)
 
 
 def compose_series(
@@ -400,9 +444,15 @@ def compose_series(
 ) -> TruncatedSeries:
     """F at one series per variable (in ring order), truncated at t^N.
 
-    Every series must be known through t^N and share F's domain.  Over
-    GF(p) the composition runs on packed ints (see ``_slot_bytes``); over Q
-    on ``TruncatedSeries``.
+    Every series must be known through t^N and share F's domain.  Both
+    fields run on ``_compose_integers``, which skips every term of F whose
+    t-order exceeds N and truncates each other term at N minus its order.
+    Over GF(p) the coefficients and images are the canonical residues, and
+    each slot is reduced mod p.  Over Q, with D the lcm of the images'
+    denominators, L that of the coefficients of F's terms that reach t^N,
+    and d their largest exponent sum, the term c·z^α becomes
+    L·c·D^(d−|α|)·(D·z)^α: integers throughout, and the result is divided
+    by L·D^d.
     """
     domain = F.ring.domain
     if len(series) != F.ring.nvars:
@@ -412,11 +462,23 @@ def compose_series(
             raise ValueError("series domain differs from coefficient domain")
         if s.order_bound < N:
             raise ValueError(f"series known only through t^{s.order_bound} < t^{N}")
+    images = [s.coeffs[: N + 1] for s in series]
+    orders = [next((k for k, x in enumerate(z) if x), N + 1) for z in images]
+    terms = _reaching_terms(F, orders, N)
     if isinstance(domain, PrimeField):
-        return _compose_packed(F, series, N)
-    return compose(
-        F, [s.truncate(N) for s in series], series_constant(domain, domain.one, N)
-    )
+        slots = _compose_integers(terms, images, orders, N)
+        return TruncatedSeries(domain, tuple(x % domain.p for x in slots))
+    D = lcm(*(x.denominator for z in images for x in z))
+    d = max((sum(exps) for exps, _, _ in terms), default=0)
+    L = lcm(*(c.denominator for _, c, _ in terms))
+    terms = [
+        (exps, c.numerator * (L // c.denominator) * D ** (d - sum(exps)), o)
+        for exps, c, o in terms
+    ]
+    images = [[x.numerator * (D // x.denominator) for x in z] for z in images]
+    scale = L * D**d
+    slots = _compose_integers(terms, images, orders, N)
+    return TruncatedSeries(domain, tuple(Fraction(x, scale) for x in slots))
 
 
 def poly_on_series(F: Polynomial, assignment: Mapping[str, TruncatedSeries]) -> TruncatedSeries:

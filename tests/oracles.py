@@ -8,7 +8,9 @@ library by other means, so a test can compare the two:
   of a zero set, as the Macaulay rank certificate in ``cycover.regseq``
   does for homogeneous ideals;
 * polynomials composed with series term by term, each exponent powered on
-  its own, as against the power-caching ``cycover.poly.compose``;
+  its own, or through the generic power-caching ``cycover.poly.compose`` on
+  ``TruncatedSeries``, as against the packed, order-aware kernel of
+  ``cycover.series.compose_series``;
 * the Newton lift that composes F and ∂F/∂s on every step and divides by
   the slope through its Newton inverse, as against
   ``cycover.series.arc_lift``, which composes F once and divides by the
@@ -25,6 +27,7 @@ from cycover.poly import (
     Polynomial,
     PolyRing,
     PrimeField,
+    compose,
     monomials_of_degree,
     poly_mul,
     ring_over,
@@ -204,6 +207,17 @@ def poly_on_series_by_terms(
                 term = term * s.truncate(n).pow_int(e)
         total = total + term
     return total
+
+
+def compose_by_power_caching(
+    F: Polynomial, series: Sequence[TruncatedSeries], N: int
+) -> TruncatedSeries:
+    """F at one series per variable, truncated at t^N, by the generic
+    ``cycover.poly.compose`` on ``TruncatedSeries``: every power and every
+    term at full precision, whatever the series' t-orders."""
+    domain = F.ring.domain
+    one = series_constant(domain, domain.one, N)
+    return compose(F, [s.truncate(N) for s in series], one)
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:

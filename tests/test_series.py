@@ -20,6 +20,7 @@ from cycover.poly import (
     truncate_degree,
     vanishing_order,
 )
+from cycover.seeds import Rng
 from cycover.series import (
     Arc,
     GammaTable,
@@ -27,6 +28,7 @@ from cycover.series import (
     SingularDirectionError,
     TruncatedSeries,
     arc_lift,
+    compose_series,
     gamma_coefficients,
     ord_along_arc,
     phi_polynomials,
@@ -36,10 +38,11 @@ from cycover.series import (
     series_zero,
     truncate_f,
 )
-from cycover.series import _horner_chains, _newton_bytes
+from cycover.series import _compose_integers, _horner_chains, _newton_bytes, _slot_bytes
 from helpers import series_parameter, truncated_kth_root
 from oracles import (
     arc_lift_by_recomposition,
+    compose_by_power_caching,
     kth_root_degree_by_degree,
     poly_on_series_by_terms,
     series_inverse,
@@ -501,6 +504,156 @@ def test_packed_composition_worst_case(p):
     assignment = {name: _series(field, [p - 1] * 9) for name in NAMES3}
     assert len(Fpoly) == 20
     assert poly_on_series(Fpoly, assignment) == poly_on_series_by_terms(Fpoly, assignment)
+
+
+def _exact_composition(terms, images, N):
+    """Σ c·Π z_i^(α_i) through t^N on plain integer lists."""
+
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(N + 1)]
+
+    total = [0] * (N + 1)
+    for exps, c in terms:
+        term = [c] + [0] * N
+        for z, e in zip(images, exps):
+            for _ in range(e):
+                term = times(term, z)
+        total = [x + y for x, y in zip(total, term)]
+    return total
+
+
+def _orders(images, N):
+    return [next((k for k, x in enumerate(z) if x), N + 1) for z in images]
+
+
+def _kernel(terms, images, N):
+    """``_compose_integers`` on (α, c) terms, with each term's t-order."""
+    orders = _orders(images, N)
+    reaching = []
+    for exps, c in terms:
+        o = sum(e * v for e, v in zip(exps, orders))
+        if o <= N:
+            reaching.append((exps, c, o))
+    return _compose_integers(reaching, images, orders, N)
+
+
+def _tight_order(T, C, A, d):
+    """The least N whose width bound B = T·C·A^d·(N + 1)^(d−1) has a bit
+    length divisible by 8, so B fills its bytes and the sign bit alone
+    takes the next byte."""
+    return next(
+        N for N in range(1, 600) if (T * C * A**d * (N + 1) ** (d - 1)).bit_length() % 8 == 0
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**61 - 1], ids=["2", "3", "5", "2^61-1"])
+def test_composition_width_worst_case(p):
+    # Every slot of every image is p − 1 and F is every quadratic monomial
+    # with coefficient p − 1, so slot N of the unreduced result is exactly
+    # the width bound B; N is chosen so that B fills its bytes.  The packed
+    # kernel's unreduced slots equal the exact integer sums, so a width
+    # without the sign bit, or a byte narrower, fails here.
+    field = PrimeField(p)
+    ring = ring_over(NAMES3, field)
+    quadrics = monomials_of_degree(ring, 2)
+    N = _tight_order(len(quadrics), p - 1, p - 1, 2)
+    bound = len(quadrics) * (p - 1) ** 3 * (N + 1)
+    terms = [(e, p - 1) for e in quadrics]
+    images = [[p - 1] * (N + 1)] * 3
+    slots = _kernel(terms, images, N)
+    assert slots == _exact_composition(terms, images, N)
+    assert slots[N] == bound
+    assert _slot_bytes(len(quadrics), p - 1, p - 1, 2, N) == (bound.bit_length() + 8) // 8
+    Fpoly = Polynomial(ring, dict(terms))
+    series = [_series(field, z) for z in images]
+    assert compose_series(Fpoly, series, N).coeffs == tuple(x % p for x in slots)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_composition_width_signed_extremes(sign):
+    # Images at ±A with alternating signs and coefficients ±C: slot N is
+    # ±B with every product of one sign, and the other slots mix signs.
+    A, C = 10**9 + 7, 3**20
+    ring = ring_over(NAMES3, QQ)
+    quadrics = monomials_of_degree(ring, 2)
+    N = _tight_order(len(quadrics), C, A, 2)
+    images = [[A * (-1) ** k for k in range(N + 1)] for _ in range(3)]
+    terms = [(e, sign * C) for e in quadrics]
+    slots = _kernel(terms, images, N)
+    assert slots == _exact_composition(terms, images, N)
+    assert slots[N] == sign * (-1) ** N * len(quadrics) * C * A**2 * (N + 1)
+    mixed = [(e, C * (-1) ** k) for k, e in enumerate(quadrics)]
+    mixed += [(e, -C) for e in monomials_of_degree(ring, 1)] + [((0, 0, 0), C)]
+    assert _kernel(mixed, images, N) == _exact_composition(mixed, images, N)
+
+
+def test_rational_composition_extremes_and_mixed_denominators():
+    # Denominators from 1 to 2^61 − 1 in one image set, numerators at
+    # ±(10^12 − 1), and images of orders 0, 1 and 3.
+    ring = ring_over(NAMES3, QQ)
+    N = 7
+    big = 10**12 - 1
+    dens = [1, 2, 3, 7, 2**61 - 1, 10**9 + 9, 4, 27]
+    images = [
+        QS(*[F(big * (-1) ** k, dens[k]) for k in range(N + 1)]),
+        QS(0, *[F(-big if k % 3 else big, dens[-1 - k]) for k in range(N)]),
+        QS(0, 0, 0, *[F(big, dens[(2 * k) % 8]) for k in range(N - 2)]),
+    ]
+    terms = {e: F(big * (-1) ** sum(e), dens[sum(e) % 8]) for d in range(5)
+             for e in monomials_of_degree(ring, d)}
+    Fpoly = Polynomial(ring, terms)
+    assert compose_series(Fpoly, images, N) == compose_by_power_caching(Fpoly, images, N)
+
+
+ORDER_DOMAINS = [QQ, PrimeField(2), PrimeField(5), GF101, PrimeField(2**61 - 1)]
+
+
+@pytest.mark.parametrize("domain", ORDER_DOMAINS, ids=str)
+def test_composition_images_of_every_order(domain):
+    # One image of each t-order 0..N + 1 (the last one zero, as the solved
+    # variable is in ``arc_lift``), and F with every monomial of degree at
+    # most 3: terms of order above N vanish, the others are shifted up by
+    # their order.
+    N = 5
+    names = tuple(f"z{v}" for v in range(N + 2))
+    ring = ring_over(names, domain)
+    rng = Rng(7)
+    images = [
+        _series(domain, [0] * v + [1 + rng.below(9) for _ in range(N + 1 - v)])
+        for v in range(N + 2)
+    ]
+    terms = {
+        e: domain.of(1 + rng.below(9)) for d in range(4) for e in monomials_of_degree(ring, d)
+    }
+    Fpoly = Polynomial(ring, terms)
+    composed = compose_series(Fpoly, images, N)
+    assert composed == compose_by_power_caching(Fpoly, images, N)
+    assert composed == poly_on_series_by_terms(Fpoly, dict(zip(names, images)))
+    solved = Polynomial(ring, {e: c for e, c in terms.items() if e[-1]})
+    assert compose_series(solved, images, N).is_zero()
+
+
+ORACLE_DOMAINS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF101, PrimeField(2**61 - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_composition_matches_power_caching_oracle(data):
+    # Random F of degree 0–6 at images of random t-orders, some of them
+    # zero through t^N.
+    domain = data.draw(st.sampled_from(ORACLE_DOMAINS))
+    ring = ring_over(NAMES3, domain)
+    N = data.draw(st.integers(0, 9))
+    degree = data.draw(st.integers(0, 6))
+    exps = st.sampled_from([e for d in range(degree + 1) for e in monomials_of_degree(ring, d)])
+    terms = data.draw(st.dictionaries(exps, _elements(domain), max_size=12))
+    Fpoly = Polynomial(ring, {e: domain.of(c) for e, c in terms.items()})
+    images = []
+    for _ in NAMES3:
+        v = data.draw(st.integers(0, N + 1))
+        tail = data.draw(st.lists(_elements(domain), min_size=N + 1 - v, max_size=N + 1 - v))
+        images.append(_series(domain, [0] * v + tail))
+    assert compose_series(Fpoly, images, N) == compose_by_power_caching(Fpoly, images, N)
 
 
 @settings(max_examples=80, deadline=None)
