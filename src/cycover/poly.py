@@ -244,7 +244,7 @@ class Polynomial:
     drops zero terms: outside values go through ``domain.of`` first.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_degrees")
 
     def __init__(self, ring: PolyRing, terms: Mapping):
         is_zero = ring.domain.is_zero
@@ -253,6 +253,7 @@ class Polynomial:
             self, "terms", {e: c for e, c in terms.items() if not is_zero(c)}
         )
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_degrees", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -265,20 +266,26 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _degree_range(self) -> tuple:
+        """(least, largest) weighted degree of a term, computed once;
+        (inf, -inf) for the zero polynomial."""
+        cached = self._degrees
+        if cached is None:
+            degrees = [self.ring.wdeg(e) for e in self.terms]
+            cached = (min(degrees), max(degrees)) if degrees else (math.inf, -math.inf)
+            object.__setattr__(self, "_degrees", cached)
+        return cached
+
     def degree(self):
         """Weighted total degree; -inf for the zero polynomial."""
-        if not self.terms:
-            return -math.inf
-        return max(self.ring.wdeg(e) for e in self.terms)
+        return self._degree_range()[1]
 
     def low_degree(self):
-        if not self.terms:
-            return math.inf
-        return min(self.ring.wdeg(e) for e in self.terms)
+        return self._degree_range()[0]
 
     def is_homogeneous(self) -> bool:
-        degrees = {self.ring.wdeg(e) for e in self.terms}
-        return len(degrees) <= 1
+        low, high = self._degree_range()
+        return low >= high
 
     def constant_coefficient(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.domain.zero)

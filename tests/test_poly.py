@@ -8,6 +8,7 @@ are the contract, not a regression snapshot.
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,24 @@ class TestWorkedExamples:
         assert (y * z).degree() == 4
         assert y.degree() == 3
         assert (y + z**3).is_homogeneous()
+
+    def test_degree_queries_pass_over_the_terms_once(self):
+        # degree(), low_degree() and is_homogeneous() share one cached
+        # pass, one wdeg call per term, however often they are asked.
+        ring = ring_over(("z", "y"), QQ, weights=(1, 3))
+        z, y = ring.gens()
+        F = y * z + z**2 + ring.const(2)
+        with mock.patch.object(PolyRing, "wdeg", autospec=True, side_effect=PolyRing.wdeg) as wdeg:
+            for _ in range(3):
+                assert F.degree() == 4
+                assert F.low_degree() == 0
+                assert not F.is_homogeneous()
+        assert wdeg.call_count == len(F) == 3
+        zero = ring.zero()
+        assert zero.degree() == -math.inf and zero.low_degree() == math.inf
+        assert zero.is_homogeneous()
+        with pytest.raises(AttributeError):
+            F._degrees = None
 
     def test_translate_univariate_square(self):
         z1 = R1.gen(0)
