@@ -121,30 +121,54 @@ def _coprime(a: tuple, b: tuple) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full multivariate division remainder (every term reduced)."""
+def normal_form(
+    f: Polynomial, basis: Sequence[Polynomial], leads: Optional[Sequence[tuple]] = None
+) -> Polynomial:
+    """Full multivariate division remainder (every term reduced).
+
+    ``leads``, when given, are the basis members' leading exponents (as
+    ``groebner_basis`` stores them), so none is derived again.  The terms
+    still to reduce sit in a dict with a heap of their grevlex keys: a step
+    only removes the largest term and adds smaller ones, so each term's key
+    is pushed once and the largest is popped, never searched for.
+    """
     ring = f.ring
     domain = ring.domain
-    reducers = [
-        (g.leading()[0], g.leading()[1], g) for g in basis if not g.is_zero()
-    ]
+    if leads is None:
+        leads = [g.leading()[0] for g in basis if not g.is_zero()]
+        basis = [g for g in basis if not g.is_zero()]
+    reducers = [(lead, g.terms[lead], g) for lead, g in zip(leads, basis)]
+
+    def heap_key(exps: tuple) -> tuple:
+        # Ascending order of this key is descending grevlex (term_key).
+        return (-ring.wdeg(exps), exps[::-1], exps)
+
+    work = dict(f.terms)
+    pending = [heap_key(exps) for exps in work]
+    heapq.heapify(pending)
     remainder: dict = {}
-    work = f
-    while not work.is_zero():
-        exps, coeff = work.leading()
-        hit = None
-        for lead_exps, lead_coeff, g in reducers:
-            if _divides(lead_exps, exps):
-                hit = (lead_exps, lead_coeff, g)
-                break
+    while pending:
+        exps = heapq.heappop(pending)[2]
+        coeff = work.pop(exps)
+        if domain.is_zero(coeff):
+            continue  # cancelled after its key was pushed
+        hit = next((r for r in reducers if _divides(r[0], exps)), None)
         if hit is None:
             remainder[exps] = coeff
-            work = work - Polynomial(ring, {exps: coeff})
-        else:
-            lead_exps, lead_coeff, g = hit
-            shift = tuple(b - a for a, b in zip(lead_exps, exps))
-            factor = domain.div(coeff, lead_coeff)
-            work = work - poly_mul(Polynomial(ring, {shift: factor}), g)
+            continue
+        lead_exps, lead_coeff, g = hit
+        shift = tuple(b - a for a, b in zip(lead_exps, exps))
+        factor = domain.div(coeff, lead_coeff)
+        for term_exps, term_coeff in g.terms.items():
+            if term_exps == lead_exps:
+                continue
+            key = tuple(a + b for a, b in zip(shift, term_exps))
+            product = domain.mul(factor, term_coeff)
+            if key in work:
+                work[key] = domain.sub(work[key], product)
+            else:
+                work[key] = domain.neg(product)
+                heapq.heappush(pending, heap_key(key))
     return Polynomial(ring, remainder)
 
 
@@ -214,7 +238,7 @@ def groebner_basis(
         steps += 1
         if steps > budget:
             raise BudgetExceededError(budget, context)
-        remainder = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        remainder = normal_form(_s_polynomial(basis[i], basis[j]), basis, leads)
         if not remainder.is_zero():
             member = remainder.monic()
             basis.append(member)
@@ -222,21 +246,20 @@ def groebner_basis(
             add_pairs(len(basis) - 1)
 
     # Minimalize: drop members whose leading term another one divides.
-    minimal: list = []
-    for idx, g in enumerate(basis):
-        lead = g.leading()[0]
-        if any(
-            _divides(other.leading()[0], lead)
-            for k, other in enumerate(basis)
-            if k != idx and not (k > idx and other.leading()[0] == lead)
-        ):
-            continue
-        minimal.append(g)
+    minimal = [
+        k
+        for k, lead in enumerate(leads)
+        if not any(
+            _divides(other, lead)
+            for j, other in enumerate(leads)
+            if j != k and not (j > k and other == lead)
+        )
+    ]
     # Tail-reduce each member against the others.
     reduced: list = []
-    for idx, g in enumerate(minimal):
+    for idx, k in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        r = normal_form(g, others)
+        r = normal_form(basis[k], [basis[j] for j in others], [leads[j] for j in others])
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda p: ring.term_key(p.leading()[0]))
