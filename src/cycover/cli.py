@@ -1054,8 +1054,8 @@ def _add_check_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--gb-budget", type=int, default=DEFAULT_PAIR_BUDGET,
-        help="pair budget for the Groebner run that reports the local "
-        "dimension of a refuted regularity prefix",
+        help="pair budget for the Groebner run that decides a regularity "
+        "prefix by its local dimension when every cut draw failed",
     )
 
 

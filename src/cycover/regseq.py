@@ -5,8 +5,9 @@ vanishing at the origin a regular sequence in the local ring at the origin?
 The test is geometric.  For a prefix of length i in n variables, the prefix
 ideal is intersected with n - i random linear cuts through the origin; the
 prefix is certified when the origin is an isolated point of the resulting
-zero set.  Isolation is a sound proof (no probabilistic element), while a
-refutation after several independent cut draws is Monte-Carlo evidence.
+zero set.  Isolation is a sound proof (no probabilistic element).  When
+every cut draw fails, the dimension of the prefix's zero set decides: the
+expected one certifies the prefix, a larger one refutes it, both as proofs.
 
 Isolation is certified for homogeneous sequences, the only kind the
 pipeline builds (every regularity sequence consists of graded pieces):
@@ -31,9 +32,10 @@ found by mixed-radix monomial codes; and the elimination updates only the
 rows with a nonzero in the pivot column, in the columns where the pivot row
 is nonzero.
 
-Buchberger completion only annotates a refuted prefix with the dimension
-of its zero set.  That work is metered by a pair-reduction budget; when the
-budget runs out the dimension is reported as unknown.
+Buchberger completion runs only for a prefix whose cut draws all failed,
+to find the dimension of its zero set.  That work is metered by a
+pair-reduction budget; when the budget runs out the dimension is reported
+as unknown and the refutation is Monte-Carlo evidence.
 """
 
 from __future__ import annotations
@@ -324,8 +326,11 @@ class RegularityVerdict:
     """Outcome of the prefix-by-prefix regularity test.
 
     A CertifiedRegular outcome is a proof: every prefix passed a sound
-    isolation certificate.  RefutedAtPrefix(i) is Monte-Carlo evidence:
-    the stated number of independent cut draws all failed for prefix i.
+    isolation certificate, or its zero set has the expected dimension.
+    RefutedAtPrefix(i) says that every cut draw failed for prefix i; it is
+    a proof when the prefix's local dimension is known (it exceeds the
+    expected one) and Monte-Carlo evidence when the Groebner budget ran out
+    first.
     """
 
     outcome: str
@@ -657,9 +662,13 @@ def regular_at_origin(
     n - i random linear cuts through the origin and certifies the prefix
     when the origin is isolated in the combined zero set (then the local
     dimension is exactly n - i).  A prefix that fails ``trials`` independent
-    draws is refuted with Monte-Carlo confidence; evidence records the
-    observed local dimension next to the expected one, computed within
-    ``budget`` Groebner pair reductions.
+    draws is decided by the dimension of its zero set, computed within
+    ``budget`` Groebner pair reductions.  Dimension n - i means height i,
+    and homogeneous forms whose ideal has height i are a regular sequence
+    in the Cohen–Macaulay ring k[z] (Matsumura, Commutative Ring Theory,
+    Thm 17.4), so the prefix is certified and the walk goes on.  A larger
+    dimension proves the prefix is not regular.  Only when the budget runs
+    out is the refutation Monte-Carlo evidence.
     """
     if not sequence:
         raise ValueError("empty sequence")
@@ -686,6 +695,7 @@ def regular_at_origin(
         raise ValueError("at least one trial required")
 
     evidence = []
+    by_dimension = []  # prefixes the cuts missed and the dimension certified
     for i in range(1, len(sequence) + 1):
         prefix = list(sequence[:i])
         expected = n - i
@@ -711,35 +721,47 @@ def regular_at_origin(
                 )
             )
             continue
-        # Refuted: annotate with the observed local dimension when affordable.
+        # Every draw failed: decide by the local dimension when affordable.
         try:
             local_dimension = ideal_dimension(
                 IdealPresentation(ring, tuple(prefix)), budget
             )
         except BudgetExceededError:
             local_dimension = None
-        evidence.append(
-            PrefixEvidence(
-                prefix=i,
-                certified=False,
-                expected_dimension=expected,
-                trials=tuple(records),
-                local_dimension=local_dimension,
-            )
+        record = PrefixEvidence(
+            prefix=i,
+            certified=local_dimension == expected,
+            expected_dimension=expected,
+            trials=tuple(records),
+            local_dimension=local_dimension,
         )
+        evidence.append(record)
+        if record.certified:
+            by_dimension.append(i)
+            continue
+        if local_dimension is None:
+            reason = f"high confidence ({trials} generic cuts failed)"
+        else:
+            reason = (
+                f"proved by the dimension, height {n - local_dimension} < {i} "
+                f"({trials} generic cuts failed)"
+            )
         found = "unknown" if local_dimension is None else str(local_dimension)
         return RegularityVerdict(
             outcome=REFUTED_AT_PREFIX,
             trial_count=trials,
             evidence=tuple(evidence),
             refuted_prefix=i,
-            message=(
-                f"prefix {i}: local dimension {found}, expected {expected}; "
-                f"high confidence ({trials} generic cuts failed)"
-            ),
+            message=f"prefix {i}: local dimension {found}, expected {expected}; {reason}",
         )
+    message = "; ".join(
+        f"prefix {i} certified by its local dimension {n - i} "
+        f"({trials} generic cuts failed)"
+        for i in by_dimension
+    )
     return RegularityVerdict(
         outcome=CERTIFIED_REGULAR,
         trial_count=trials,
         evidence=tuple(evidence),
+        message=message,
     )

@@ -334,6 +334,31 @@ class TestRegularAtOrigin:
         assert verdict.evidence[-1].local_dimension == 1
         assert verdict.evidence[-1].expected_dimension == 0
         assert "local dimension 1, expected 0" in verdict.message
+        assert "proved by the dimension, height 1 < 2" in verdict.message
+
+    def test_prefixes_certified_by_their_dimension(self):
+        # Over GF(2) every linear form vanishes on a line spanned by a
+        # GF(2) vector, and z1*z2*(z1 + z2) vanishes on every such line, so
+        # no cut draw isolates the origin for prefixes 1 and 2.  Their zero
+        # sets still have the expected dimensions 2 and 1 (heights 1 and 2),
+        # so both are regular (Matsumura, Thm 17.4) and the walk goes on to
+        # prefix 3, which the rank certificate isolates without cuts.
+        ring = ring_over(("z1", "z2", "z3"), PrimeField(2))
+        z1, z2, z3 = ring.gens()
+        sequence = [z1 * z2 * (z1 + z2), z3, z1**2 + z1 * z2 + z2**2]
+        verdict = regular_at_origin(sequence, seed=3)
+        assert verdict.outcome == CERTIFIED_REGULAR
+        first, second, third = verdict.evidence
+        for record, dimension in ((first, 2), (second, 1)):
+            assert record.certified and record.local_dimension == dimension
+            assert len(record.trials) == 5
+            assert not any(trial.certified for trial in record.trials)
+        assert third.certified and third.local_dimension is None
+        assert [trial.certified for trial in third.trials] == [True]
+        assert verdict.message == (
+            "prefix 1 certified by its local dimension 2 (5 generic cuts failed); "
+            "prefix 2 certified by its local dimension 1 (5 generic cuts failed)"
+        )
 
     def test_monomial_pair_refuted_with_dimensions(self):
         z1, z2, z3 = R3.gens()
@@ -393,6 +418,7 @@ class TestRegularAtOrigin:
         assert verdict.refuted_prefix == 2
         assert verdict.evidence[-1].local_dimension is None
         assert "local dimension unknown, expected 0" in verdict.message
+        assert "high confidence" in verdict.message
 
     def test_prime_field_certification(self):
         ring = ring_over(("z1", "z2", "z3"), PrimeField(1_000_003))
