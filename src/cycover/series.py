@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (
     Domain,
@@ -362,12 +362,6 @@ def _pack_signed(coeffs: Sequence[int], width: int) -> int:
     return _pack([c + half for c in coeffs], width) - _bias(width, len(coeffs))
 
 
-def _unpack(value: int, width: int, slots: int, p: int) -> list:
-    """The low ``slots`` slots of a packed int, each reduced mod p."""
-    raw = value.to_bytes(width * slots, "little")
-    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
-
-
 def _unpack_signed(value: int, width: int, slots: int) -> list:
     """The signed slots c_k of value = Σ c_k·2^(wk), each |c_k| < 2^(w−1):
     adding 2^(w−1) to every slot makes each one a plain w-bit digit."""
@@ -376,12 +370,12 @@ def _unpack_signed(value: int, width: int, slots: int) -> list:
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
-def _reaching_terms(F: Polynomial, orders: Sequence[int], N: int) -> list:
-    """(α, c, o) for each term c·z^α of F whose t-order o = Σ α_i·v_i,
-    with v_i the order of image i, is at most N; the others vanish mod
+def _reaching_terms(terms: Iterable[tuple], orders: Sequence[int], N: int) -> list:
+    """(α, c, o) for each term (α, c) whose t-order o = Σ α_i·v_i, with
+    v_i the order of image i, is at most N; the others vanish mod
     t^(N+1)."""
     out = []
-    for exps, c in F.terms.items():
+    for exps, c in terms:
         o = sum(e * v for e, v in zip(exps, orders) if e)
         if o <= N:
             out.append((exps, c, o))
@@ -464,7 +458,7 @@ def compose_series(
             raise ValueError(f"series known only through t^{s.order_bound} < t^{N}")
     images = [s.coeffs[: N + 1] for s in series]
     orders = [next((k for k, x in enumerate(z) if x), N + 1) for z in images]
-    terms = _reaching_terms(F, orders, N)
+    terms = _reaching_terms(F.terms.items(), orders, N)
     if isinstance(domain, PrimeField):
         slots = _compose_integers(terms, images, orders, N)
         return TruncatedSeries(domain, tuple(x % domain.p for x in slots))
@@ -730,6 +724,6 @@ def _packed_horner(c: Sequence[TruncatedSeries], N: int):
         chains = _horner_chains(
             [x & mask for x in packed], _pack(current[: n + 1], width), mask
         )
-        return tuple(_unpack(value, width, n + 1, p) for value in chains)
+        return tuple([x % p for x in _unpack_signed(value, width, n + 1)] for value in chains)
 
     return horner

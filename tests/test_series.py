@@ -38,7 +38,13 @@ from cycover.series import (
     series_zero,
     truncate_f,
 )
-from cycover.series import _compose_integers, _horner_chains, _newton_bytes, _slot_bytes
+from cycover.series import (
+    _compose_integers,
+    _horner_chains,
+    _newton_bytes,
+    _reaching_terms,
+    _slot_bytes,
+)
 from helpers import series_parameter, truncated_kth_root
 from oracles import (
     arc_lift_by_recomposition,
@@ -527,14 +533,9 @@ def _orders(images, N):
 
 
 def _kernel(terms, images, N):
-    """``_compose_integers`` on (α, c) terms, with each term's t-order."""
+    """``_compose_integers`` on (α, c) terms over the integers."""
     orders = _orders(images, N)
-    reaching = []
-    for exps, c in terms:
-        o = sum(e * v for e, v in zip(exps, orders))
-        if o <= N:
-            reaching.append((exps, c, o))
-    return _compose_integers(reaching, images, orders, N)
+    return _compose_integers(_reaching_terms(terms, orders, N), images, orders, N)
 
 
 def _tight_order(T, C, A, d):
