@@ -600,8 +600,11 @@ def test_rational_composition_extremes_and_mixed_denominators():
         QS(0, *[F(-big if k % 3 else big, dens[-1 - k]) for k in range(N)]),
         QS(0, 0, 0, *[F(big, dens[(2 * k) % 8]) for k in range(N - 2)]),
     ]
-    terms = {e: F(big * (-1) ** sum(e), dens[sum(e) % 8]) for d in range(5)
-             for e in monomials_of_degree(ring, d)}
+    terms = {
+        e: F(big * (-1) ** sum(e), dens[sum(e) % 8])
+        for d in range(5)
+        for e in monomials_of_degree(ring, d)
+    }
     Fpoly = Polynomial(ring, terms)
     assert compose_series(Fpoly, images, N) == compose_by_power_caching(Fpoly, images, N)
 
