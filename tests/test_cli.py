@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from cycover.report import (
     VERDICT_UNSUPPORTED,
     reports_equal_modulo_timings,
 )
+from cycover.seeds import PURPOSE_POINT_OFF, derive_seed
 from cycover.series import TruncatedSeries
 from helpers import default_instance_text
 
@@ -409,9 +411,25 @@ class TestCertify:
         assert code == cli.EXIT_INCONCLUSIVE
         doc = json.loads(out)
         (record,) = doc["records"]
-        assert record["kind"] == "sampling-failure"
-        assert record["reason"] == "sampled point fails re-verification"
-        assert record["verdict"] == VERDICT_INCONCLUSIVE
+        # The whole record, keys in order: only a campaign record has a
+        # trial, and its seeds name the instance too.
+        if command[0] == "campaign":
+            head = [("kind", "sampling-failure"), ("trial", 0)]
+            seeds = {
+                "instance": derive_seed(3, trial=0),
+                "point": derive_seed(3, trial=0, point=0, purpose=PURPOSE_POINT_OFF),
+            }
+        else:
+            head = [("kind", "sampling-failure")]
+            seeds = {"point": derive_seed(11, point=0, purpose=PURPOSE_POINT_OFF)}
+        assert list(record.items()) == head + [
+            ("point_index", 0),
+            ("source", "sampled-off"),
+            ("seeds", seeds),
+            ("reason", "sampled point fails re-verification"),
+            ("verdict", VERDICT_INCONCLUSIVE),
+        ]
+        assert list(record["seeds"]) == list(seeds)
         assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
 
     def test_conflicting_prime_override_rejected(self, workhorse_file, capsys):
@@ -744,3 +762,66 @@ class TestVerdictAggregation:
         assert cli.exit_code_for(VERDICT_REFUTED) == 1
         assert cli.exit_code_for(VERDICT_INCONCLUSIVE) == 3
         assert cli.exit_code_for(VERDICT_UNSUPPORTED) == 3
+
+
+# Every subcommand with its positionals and flags, each with its default.
+PARSER_SURFACE = {
+    "family": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("M", None), ("m", None), ("l", None), ("K", None),
+    ],
+    "bound": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("M", None), ("m", None), ("l", None), ("K", None),
+    ],
+    "series": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("K", None), ("N", None), (("--seed",), 0),
+    ],
+    "parse": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("expression", None), (("--vars",), None), (("--prime",), None),
+    ],
+    "localize": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("file", None), (("--point",), None), (("--prime",), None),
+    ],
+    "certify": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("file", None), (("--point",), None), (("--points-off",), None),
+        (("--points-on",), None), (("--prime",), None), (("--seed",), None),
+        (("--arc-order",), None), (("--arc-count",), 5),
+        (("--cut-trials",), 5), (("--gb-budget",), 200_000),
+    ],
+    "campaign": [
+        (("--output", "-o"), argparse.SUPPRESS),
+        ("file", None), (("--family",), None), (("--prime",), None),
+        (("--seed",), 0), (("--trials",), 1), (("--points-off",), 3),
+        (("--points-on",), 2), (("--workers",), 1),
+        (("--arc-order",), None), (("--arc-count",), 5),
+        (("--cut-trials",), 5), (("--gb-budget",), 200_000),
+    ],
+}
+
+
+def _surface(parser: argparse.ArgumentParser) -> list:
+    return [
+        (tuple(action.option_strings) or action.dest, action.default)
+        for action in parser._actions
+        if action.dest != "help"
+    ]
+
+
+def test_parser_surface_is_pinned():
+    # No flag, positional or default comes or goes unnoticed.
+    parser = cli.build_parser()
+    (subcommands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert _surface(parser)[0] == (("--output", "-o"), None)
+    assert {
+        name: _surface(sub) for name, sub in subcommands.choices.items()
+    } == PARSER_SURFACE
+    assert list(subcommands.choices) == list(PARSER_SURFACE)
