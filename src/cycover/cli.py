@@ -39,7 +39,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -77,6 +77,7 @@ from .parsing import (
     ParseError,
     parse_instance_file,
     parse_polynomial,
+    read_instance_path,
 )
 from .poly import QQ, PrimeField, random_homogeneous, ring_over
 from .regseq import (
@@ -385,6 +386,58 @@ def check_point(
     return record
 
 
+def _check_sampled_point(
+    instance: CoverInstance,
+    side: str,
+    index: int,
+    master_seed: int,
+    options: CheckOptions,
+    trial: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Sample the index-th point on one side of the branch divisor and
+    check it.
+
+    A sampler fault ("sampled point fails re-verification", or an
+    exhausted draw budget) is an internal fault, never a refutation: it
+    becomes an inconclusive sampling-failure record.  Campaigns pass their
+    ``trial``; their records name it, and their seeds name the instance's.
+    """
+    if side == BRANCH_OFF:
+        sampler, purpose = sample_point_off_branch, PURPOSE_POINT_OFF
+    else:
+        sampler, purpose = sample_point_on_branch, PURPOSE_POINT_ON
+    # certify's sampled points draw trial 0's seeds.
+    point_seed = derive_seed(master_seed, trial=trial or 0, point=index, purpose=purpose)
+    seeds = {"point": point_seed}
+    if trial is not None:
+        seeds = {"instance": derive_seed(master_seed, trial=trial), **seeds}
+    source = f"sampled-{side}"
+    try:
+        point = sampler(instance, point_seed)
+    except (SampleBudgetError, ArithmeticError) as error:
+        record: Dict[str, Any] = {"kind": "sampling-failure"}
+        if trial is not None:
+            record["trial"] = trial
+        record.update(
+            point_index=index,
+            source=source,
+            seeds=seeds,
+            reason=str(error),
+            verdict=VERDICT_INCONCLUSIVE,
+        )
+        return record
+    return check_point(
+        instance,
+        point,
+        seed=point_seed,
+        options=options,
+        source=source,
+        point_index=index,
+        trial=trial,
+        seed_record=seeds,
+    )
+
+
 # -- certify --------------------------------------------------------------------
 
 
@@ -493,10 +546,7 @@ def run_certify(
         "points_off": options.points_off,
         "points_on": options.points_on,
         "explicit_points": len(options.explicit_points),
-        "arc_count": options.checks.arc_count,
-        "arc_order": options.checks.arc_order,
-        "cut_trials": options.checks.cut_trials,
-        "gb_budget": options.checks.gb_budget,
+        **asdict(options.checks),
     }
 
     for index, point in enumerate(options.explicit_points):
@@ -512,38 +562,10 @@ def run_certify(
             )
         )
 
-    samplers = (
-        (BRANCH_OFF, options.points_off, PURPOSE_POINT_OFF, sample_point_off_branch),
-        (BRANCH_ON, options.points_on, PURPOSE_POINT_ON, sample_point_on_branch),
-    )
-    for side, count, purpose, sampler in samplers:
+    for side, count in ((BRANCH_OFF, options.points_off), (BRANCH_ON, options.points_on)):
         for index in range(count):
-            point_seed = derive_seed(master_seed, point=index, purpose=purpose)
-            try:
-                point = sampler(instance, point_seed)
-            except (SampleBudgetError, ArithmeticError) as error:
-                # A sampler fault ("sampled point fails re-verification") is
-                # an internal fault, never a refutation: inconclusive.
-                report.add_record(
-                    {
-                        "kind": "sampling-failure",
-                        "point_index": index,
-                        "source": f"sampled-{side}",
-                        "seeds": {"point": point_seed},
-                        "reason": str(error),
-                        "verdict": VERDICT_INCONCLUSIVE,
-                    }
-                )
-                continue
             report.add_record(
-                check_point(
-                    instance,
-                    point,
-                    seed=point_seed,
-                    options=options.checks,
-                    source=f"sampled-{side}",
-                    point_index=index,
-                )
+                _check_sampled_point(instance, side, index, master_seed, options.checks)
             )
 
     overall = _summarize(report)
@@ -555,64 +577,22 @@ def run_certify(
 
 
 def _campaign_task(payload: tuple) -> Dict[str, Any]:
-    """One (trial, point) unit of campaign work; rebuilt from primitives so
-    tasks can run in worker processes and reports stay order-deterministic."""
-    (
-        family_tuple,
-        prime,
-        master_seed,
-        instance_text,
-        trial,
-        side,
-        index,
-        checks_tuple,
-    ) = payload
-    family = CoverFamily(*family_tuple)
-    checks = CheckOptions(*checks_tuple)
-    instance_seed = derive_seed(master_seed, trial=trial)
-    if instance_text is None:
-        instance = random_instance(family, instance_seed, PrimeField(prime))
+    """One (trial, point) unit of campaign work.  The payload is (config,
+    trial, side, index); the config is a frozen dataclass, so it pickles
+    to worker processes as it is, and reports stay order-deterministic."""
+    config, trial, side, index = payload
+    if config.instance_text is None:
+        instance = random_instance(
+            config.family,
+            derive_seed(config.master_seed, trial=trial),
+            PrimeField(config.prime),
+        )
     else:
-        document = parse_instance_file(instance_text)
-        instance = document.instance
+        instance = parse_instance_file(config.instance_text).instance
         if not isinstance(instance.domain, PrimeField):
-            instance = instance_mod_p(instance, prime)
-    purpose = PURPOSE_POINT_OFF if side == BRANCH_OFF else PURPOSE_POINT_ON
-    sampler = (
-        sample_point_off_branch if side == BRANCH_OFF else sample_point_on_branch
-    )
-    point_seed = derive_seed(master_seed, trial=trial, point=index, purpose=purpose)
-    seeds = {"instance": instance_seed, "point": point_seed}
-    try:
-        point = sampler(instance, point_seed)
-    except (SampleBudgetError, ArithmeticError) as error:
-        return {
-            "kind": "sampling-failure",
-            "trial": trial,
-            "point_index": index,
-            "source": f"sampled-{side}",
-            "seeds": seeds,
-            "reason": str(error),
-            "verdict": VERDICT_INCONCLUSIVE,
-        }
-    return check_point(
-        instance,
-        point,
-        seed=point_seed,
-        options=checks,
-        source=f"sampled-{side}",
-        point_index=index,
-        trial=trial,
-        seed_record=seeds,
-    )
-
-
-def _checks_tuple(checks: CheckOptions) -> tuple:
-    return (
-        checks.arc_count,
-        checks.arc_order,
-        checks.cut_trials,
-        checks.gb_budget,
+            instance = instance_mod_p(instance, config.prime)
+    return _check_sampled_point(
+        instance, side, index, config.master_seed, config.checks, trial=trial
     )
 
 
@@ -623,29 +603,12 @@ def run_campaign(config: CampaignConfig) -> Tuple[ReportDocument, int]:
     count: records are merged in (trial, off points, on points) order.
     """
     started = time.perf_counter()
-    family = config.family
-    family_tuple = (
-        family.dimension,
-        family.base_degree,
-        family.branch_weight,
-        family.cover_degree,
-    )
-    payloads = []
-    for trial in range(config.trials):
-        for side, count in ((BRANCH_OFF, config.points_off), (BRANCH_ON, config.points_on)):
-            for index in range(count):
-                payloads.append(
-                    (
-                        family_tuple,
-                        config.prime,
-                        config.master_seed,
-                        config.instance_text,
-                        trial,
-                        side,
-                        index,
-                        _checks_tuple(config.checks),
-                    )
-                )
+    payloads = [
+        (config, trial, side, index)
+        for trial in range(config.trials)
+        for side, count in ((BRANCH_OFF, config.points_off), (BRANCH_ON, config.points_on))
+        for index in range(count)
+    ]
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as executor:
@@ -657,28 +620,20 @@ def run_campaign(config: CampaignConfig) -> Tuple[ReportDocument, int]:
         digest = input_digest(config.instance_text)
     else:
         digest = input_digest(
-            f"family={family_tuple} prime={config.prime} "
+            f"family={astuple(config.family)} prime={config.prime} "
             f"seed={config.master_seed} trials={config.trials} "
             f"off={config.points_off} on={config.points_on}"
         )
     report = ReportDocument(command="campaign", input_digest=digest)
     report.options = {
-        "family": {
-            "dimension": family.dimension,
-            "base_degree": family.base_degree,
-            "branch_weight": family.branch_weight,
-            "cover_degree": family.cover_degree,
-        },
+        "family": asdict(config.family),
         "prime": config.prime,
         "seed": config.master_seed,
         "trials": config.trials,
         "points_off": config.points_off,
         "points_on": config.points_on,
         "fixed_instance": config.instance_text is not None,
-        "arc_count": config.checks.arc_count,
-        "arc_order": config.checks.arc_order,
-        "cut_trials": config.checks.cut_trials,
-        "gb_budget": config.checks.gb_budget,
+        **asdict(config.checks),
     }
     report.records = records
 
@@ -721,10 +676,7 @@ def run_campaign(config: CampaignConfig) -> Tuple[ReportDocument, int]:
 def _family_parameters_record(family: CoverFamily) -> Dict[str, Any]:
     return {
         "kind": "family",
-        "dimension": family.dimension,
-        "base_degree": family.base_degree,
-        "branch_weight": family.branch_weight,
-        "cover_degree": family.cover_degree,
+        **asdict(family),
         "degree": family.degree,
         "branch_degree": family.branch_degree,
         "ambient_variables": family.ambient_variable_count,
@@ -922,7 +874,7 @@ def _parse_point_spec(text: str, expected: int) -> Tuple[Fraction, ...]:
 
 
 def handle_localize(args) -> Tuple[ReportDocument, int]:
-    document = _read_document(args.file)
+    document = read_instance_path(args.file)
     instance, prime = _resolve_field_instance(document, args.prime, False)
     point = tuple(
         instance.domain.of(c)
@@ -961,22 +913,21 @@ def handle_localize(args) -> Tuple[ReportDocument, int]:
     return report, exit_code_for(overall)
 
 
-def _read_document(path: str) -> InstanceDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance_file(handle.read())
-
-
-def handle_certify(args) -> Tuple[ReportDocument, int]:
-    document = _read_document(args.file)
-    explicit = tuple(
-        _parse_point_spec(spec, document.family.ambient_variable_count)
-        for spec in (args.point or ())
-    )
-    checks = CheckOptions(
+def _check_options(args) -> CheckOptions:
+    """The per-point settings from the flags ``_add_check_flags`` adds."""
+    return CheckOptions(
         arc_count=args.arc_count,
         arc_order=args.arc_order,
         cut_trials=args.cut_trials,
         gb_budget=args.gb_budget,
+    )
+
+
+def handle_certify(args) -> Tuple[ReportDocument, int]:
+    document = read_instance_path(args.file)
+    explicit = tuple(
+        _parse_point_spec(spec, document.family.ambient_variable_count)
+        for spec in (args.point or ())
     )
     points_off = args.points_off if args.points_off is not None else (0 if explicit else 1)
     points_on = args.points_on if args.points_on is not None else (0 if explicit else 1)
@@ -986,7 +937,7 @@ def handle_certify(args) -> Tuple[ReportDocument, int]:
         explicit_points=explicit,
         prime=args.prime,
         seed=args.seed,
-        checks=checks,
+        checks=_check_options(args),
     )
     return run_certify(document, options)
 
@@ -999,9 +950,8 @@ def handle_campaign(args) -> Tuple[ReportDocument, int]:
         )
     instance_text = None
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            instance_text = handle.read()
-        document = parse_instance_file(instance_text)
+        document = read_instance_path(args.file)
+        instance_text = document.source_text
         family = document.family
         file_prime = document.prime
     else:
@@ -1026,12 +976,7 @@ def handle_campaign(args) -> Tuple[ReportDocument, int]:
         points_on=args.points_on,
         instance_text=instance_text,
         workers=args.workers,
-        checks=CheckOptions(
-            arc_count=args.arc_count,
-            arc_order=args.arc_order,
-            cut_trials=args.cut_trials,
-            gb_budget=args.gb_budget,
-        ),
+        checks=_check_options(args),
     )
     return run_campaign(config)
 

@@ -825,3 +825,43 @@ def test_parser_surface_is_pinned():
         name: _surface(sub) for name, sub in subcommands.choices.items()
     } == PARSER_SURFACE
     assert list(subcommands.choices) == list(PARSER_SURFACE)
+
+
+def test_certify_and_campaign_look_up_samplers_and_check_point_by_name(
+    workhorse_file, monkeypatch
+):
+    # A tracer rebinds these module globals for the length of a run; a
+    # caller that bound them elsewhere (a table, a default argument) would
+    # bypass it without any error.
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("sample_point_off_branch", "sample_point_on_branch", "check_point"):
+        counting(name)
+    expected = [
+        "sample_point_off_branch",
+        "check_point",
+        "sample_point_on_branch",
+        "check_point",
+    ]
+    document = parse_instance_file(Path(workhorse_file).read_text())
+    options = cli.CertifyOptions(
+        points_off=1, points_on=1, checks=cli.CheckOptions(arc_count=1)
+    )
+    cli.run_certify(document, options)
+    assert calls == expected
+    calls.clear()
+    config = cli.CampaignConfig(
+        family=WORKHORSE, prime=PRIME, points_off=1, points_on=1,
+        checks=cli.CheckOptions(arc_count=1),
+    )
+    cli.run_campaign(config)
+    assert calls == expected
