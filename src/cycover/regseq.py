@@ -21,8 +21,8 @@ per column monomial x^a (the multiple of the first generator f_i with
 a_i >= deg f_i); its rows are rows of the full matrix, so a nonsingular
 square matrix proves full column rank.  Only when it is singular (Macaulay's
 extraneous factor vanishes) are all multiples of all generators ranked.
-Over Q the rank is taken modulo a large prime at which every entry is
-defined.  Non-homogeneous sequences and weighted rings are rejected.
+Over Q the forms are reduced modulo a large prime at which every
+coefficient is defined, and the elimination and the rank run on residues.  Non-homogeneous sequences and weighted rings are rejected.
 
 Nothing in the certificate runs once per matrix entry in Python.  The
 substitution moves the exponents of the variables that stay and forms one
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -65,7 +64,6 @@ DEFAULT_PAIR_BUDGET = 200_000
 # prime below it where every entry is defined): specializing can only lower
 # rank, so a full rank mod p proves full rank over Q.
 RANK_CHECK_PRIME = 2_147_483_629
-MONOMIAL_ORDER_TAG = "grevlex"
 
 
 class BudgetExceededError(RuntimeError):
@@ -102,7 +100,6 @@ class GroebnerBasis:
 
     ring: PolyRing
     basis: tuple
-    order_tag: str = MONOMIAL_ORDER_TAG
 
     def is_unit_ideal(self) -> bool:
         return any(b.degree() == 0 for b in self.basis)
@@ -389,12 +386,6 @@ def _rank_check_prime(gens: Sequence[Polynomial], domain: Domain) -> int:
     return p
 
 
-def _coefficient_mod(value, p: int) -> int:
-    if isinstance(value, Fraction):
-        return value.numerator % p * pow(value.denominator, p - 2, p) % p
-    return int(value) % p
-
-
 def _reduced_row_echelon(rows: list, domain: Domain) -> tuple:
     """In-place RREF over an exact field; returns (rows, pivot column list)."""
     if not rows:
@@ -462,7 +453,7 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
 
 
 def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.ndarray:
-    """Macaulay matrix mod p of v homogeneous forms in v variables.
+    """Macaulay matrix of v homogeneous forms in v variables over GF(p).
 
     Columns are the monomials of degree cap = sum(d_i - 1) + 1 in the
     ``monomials_of_degree`` order.  With ``square``, the row of column x^a
@@ -498,7 +489,7 @@ def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.nd
     mat = np.zeros((len(shift_codes), len(columns)), dtype=dtype)
     for k, g in enumerate(forms):
         rows = np.flatnonzero(form_of_row == k)
-        coeffs = np.array([_coefficient_mod(c, p) for c in g.terms.values()], dtype=dtype)
+        coeffs = np.array(list(g.terms.values()), dtype=dtype)
         entries = shift_codes[rows, None] + codes(list(g.terms))
         mat[rows[:, None], np.searchsorted(column_codes, entries)] = coeffs
     return mat
@@ -624,7 +615,16 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
     column), and only when that is singular on every multiple of every
     generator.  True is a proof that the origin is the whole zero set; False
     simply means this certificate did not fire.
+
+    Over Q everything runs on the forms' residues mod the rank-check prime
+    p.  A full column rank mod p is a nonzero maximal minor mod p, so a
+    nonzero minor over Q: working mod p can only miss a certificate that Q
+    would find (when p divides every such minor), never make a false one.
     """
+    p = _rank_check_prime(gens, ring.domain)
+    if not isinstance(ring.domain, PrimeField):
+        ring = ring_over(ring.variables, PrimeField(p), ring.weights)
+        gens = [g.map_domain(ring) for g in gens]
     members = [g for g in gens if not g.is_zero()]
     images = _linear_images([g for g in members if g.degree() == 1], ring)
     if images is None:
@@ -639,7 +639,6 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
         # Fewer equations cannot isolate a point; more never arise from one
         # generator per variable, and Macaulay's rows pair forms with variables.
         return False
-    p = _rank_check_prime(reduced_gens, ring.domain)
     square = _macaulay_matrix(reduced_gens, p, square=True)
     if _has_full_column_rank(square, square.shape[1], p):
         return True
