@@ -8,7 +8,8 @@ Polynomial grammar (whitespace is insignificant everywhere)::
     rational   := integer ('/' natural)?
 
 Multiplication is always explicit: ``2x0`` and ``x0 x1`` are syntax errors,
-not products.  Variables must be declared by the surrounding ring; an
+not products.  Parentheses nest at most ``MAX_NESTING`` levels deep; deeper
+nesting is a syntax error rather than a recursion overflow.  Variables must be declared by the surrounding ring; an
 undeclared name is rejected with its position.  Parsing collects terms into
 the canonical sparse form, so ``x0 + x0`` parses to the polynomial printed
 as ``2*x0`` and parse/print/parse is the identity on canonical text.
@@ -140,6 +141,8 @@ def _tokenize(text: str) -> List[_Token]:
 
 _ATOM_STARTERS = (_NUMBER, _NAME, "(")
 _VALUE_ERROR = "value error"
+# Each level of parentheses costs the parser three stack frames.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -148,6 +151,7 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.variable_index = {name: i for i, name in enumerate(ring.variables)}
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -212,8 +216,12 @@ class _Parser:
             exps[index] = power
             return self.ring.monomial(exps)
         if token.kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested more than {MAX_NESTING} deep", token)
             self.advance()
+            self.depth += 1
             value = self.expression()
+            self.depth -= 1
             closing = self.peek()
             if closing.kind != ")":
                 self.fail_unexpected(closing, "')'")

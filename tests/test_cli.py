@@ -9,7 +9,7 @@ import pytest
 from cycover import cli
 from cycover.cover import default_prime, random_instance, sample_point_off_branch
 from cycover.family import validate_family
-from cycover.parsing import parse_instance_file
+from cycover.parsing import MAX_NESTING, parse_instance_file
 from cycover.poly import PrimeField
 from cycover.report import (
     VERDICT_CERTIFIED,
@@ -180,6 +180,25 @@ class TestSeriesAndParse:
         )
         assert "syntax error" not in err
 
+    def test_parse_nesting_limit(self, capsys):
+        depth = MAX_NESTING
+        code, out, _ = run_cli(
+            ["parse", "(" * depth + "x" + ")" * depth, "--vars", "x"], capsys
+        )
+        assert code == cli.EXIT_CERTIFIED
+        assert json.loads(out)["summary"]["canonical"] == "x"
+        # One level more, or far more, is bad input, not a recursion overflow.
+        for depth in (MAX_NESTING + 1, 3000):
+            code, out, err = run_cli(
+                ["parse", "(" * depth + "x" + ")" * depth, "--vars", "x"], capsys
+            )
+            assert code == cli.EXIT_INPUT_ERROR
+            assert out == ""
+            assert (
+                f"syntax error at line 1, column {MAX_NESTING + 1}: parentheses "
+                f"nested more than {MAX_NESTING} deep" in err
+            )
+
 
 class TestLocalize:
     def test_smooth_point(self, quadric_file, capsys):
@@ -311,6 +330,18 @@ class TestCertify:
         assert doc["records"][0]["verdict"] == VERDICT_UNSUPPORTED
         assert "generalized" in doc["records"][0]["reason"]
         assert doc["summary"]["verdict"] == VERDICT_UNSUPPORTED
+
+    def test_deeply_nested_form_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "nested.inst"
+        form = "x0*x1 + x2^2"
+        path.write_text(QUADRIC_FILE.replace(form, "(" * 3000 + form + ")" * 3000))
+        code, out, err = run_cli(["certify", str(path)], capsys)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert (
+            f"instance file error at line 6: in the value of 'f': parentheses "
+            f"nested more than {MAX_NESTING} deep" in err
+        )
 
     def test_instance_file_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.inst"
