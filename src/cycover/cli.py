@@ -408,9 +408,8 @@ def _check_sampled_point(
         sampler, purpose = sample_point_on_branch, PURPOSE_POINT_ON
     # certify's sampled points draw trial 0's seeds.
     point_seed = derive_seed(master_seed, trial=trial or 0, point=index, purpose=purpose)
-    seeds = {"point": point_seed}
-    if trial is not None:
-        seeds = {"instance": derive_seed(master_seed, trial=trial), **seeds}
+    seeds = {} if trial is None else {"instance": derive_seed(master_seed, trial=trial)}
+    seeds["point"] = point_seed
     source = f"sampled-{side}"
     try:
         point = sampler(instance, point_seed)

@@ -9,10 +9,11 @@ Polynomial grammar (whitespace is insignificant everywhere)::
 
 Multiplication is always explicit: ``2x0`` and ``x0 x1`` are syntax errors,
 not products.  Parentheses nest at most ``MAX_NESTING`` levels deep; deeper
-nesting is a syntax error rather than a recursion overflow.  Variables must be declared by the surrounding ring; an
-undeclared name is rejected with its position.  Parsing collects terms into
-the canonical sparse form, so ``x0 + x0`` parses to the polynomial printed
-as ``2*x0`` and parse/print/parse is the identity on canonical text.
+nesting is a syntax error rather than a recursion overflow.  Variables must
+be declared by the surrounding ring; an undeclared name is rejected with its
+position.  Parsing collects terms into the canonical sparse form, so
+``x0 + x0`` parses to the polynomial printed as ``2*x0`` and
+parse/print/parse is the identity on canonical text.
 
 Instance files are line-oriented ``key = value`` bindings.  Recognized keys:
 
