@@ -560,44 +560,77 @@ def compose(F: Polynomial, images: Sequence, one):
     return total
 
 
+def integer_numerators(terms: Mapping, den: int) -> dict:
+    """The integers den·c of coefficients c whose denominators divide
+    ``den``: over Q the cleared numerators, over GF(p) (den = 1) the
+    canonical residues themselves."""
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def over_denominator(values: Mapping, den: int, domain: Domain) -> dict:
+    """The field elements v/den of integer numerators v, canonical: one
+    ``Fraction`` per value over Q, one inverse of den over GF(p)."""
+    if isinstance(domain, PrimeField):
+        p = domain.p
+        scale = domain.inv(den)
+        return {e: v * scale % p for e, v in values.items()}
+    return {e: Fraction(v, den) for e, v in values.items()}
+
+
 def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:
     """F(z + point): move ``point`` to the origin of the coordinates.
 
     One Taylor shift per variable with a nonzero shift c (von zur Gathen &
     Gerhard 1997, "Fast algorithms for Taylor shifts and certain difference
     equations"): every term's power z_i^e expands as
-    (z_i + c)^e = Σ_k C(e,k)·c^(e−k)·z_i^k into one dict.  The sums run on
-    the domain's plain ``+`` and ``*`` and are made canonical once per shift.
-    Weights play no part, and no generic product is formed.
+    (z_i + c)^e = Σ_k C(e,k)·c^(e−k)·z_i^k into one dict.  Weights play no
+    part, and no generic product is formed.
+
+    The shifts run on integers over one common denominator ``den``, for
+    both fields.  Over Q, F starts as its numerators over the lcm of its
+    coefficients' denominators.  A shift c = a/b, with E the largest
+    exponent of z_i, multiplies ``den`` by b^E and expands z_i^e by the
+    integer row C(e,k)·a^(e−k)·b^(E−e+k), k = 0..e; so the invariant
+    F(z + shifts so far) = (values)/den holds after every shift.  Over
+    GF(p), a = c, b = 1 and den = 1; rows are reduced mod p, and values
+    once per shift.  The values become field elements once, at the end.
     """
     ring = F.ring
     if len(point) != ring.nvars:
         raise ValueError("point has wrong arity")
     domain = ring.domain
-    terms = F.terms
+    p = domain.characteristic
+    den = math.lcm(*(c.denominator for c in F.terms.values()))
+    values = integer_numerators(F.terms, den)
     for i, c in enumerate(point):
         c = domain.of(c)
-        if domain.is_zero(c):
+        if domain.is_zero(c) or not values:
             continue
-        rows: dict = {}  # e -> [C(e,k)·c^(e−k) for k = 0..e]
-        powers = [domain.one]
+        a, b = c.numerator, c.denominator
+        E = max(exps[i] for exps in values)
+        a_powers, b_powers = [1], [1]
+        for _ in range(E):
+            a_powers.append(a_powers[-1] * a)
+            b_powers.append(b_powers[-1] * b)
+        rows: dict = {}  # e -> [C(e,k)·a^(e−k)·b^(E−e+k) for k = 0..e]
         shifted: dict = {}
-        for exps, coeff in terms.items():
+        for exps, value in values.items():
             e = exps[i]
             row = rows.get(e)
             if row is None:
-                while len(powers) <= e:
-                    powers.append(domain.mul(powers[-1], c))
                 row = rows[e] = [
-                    domain.mul(domain.of(math.comb(e, k)), powers[e - k])
+                    math.comb(e, k) * a_powers[e - k] * b_powers[E - e + k]
                     for k in range(e + 1)
                 ]
+                if p:
+                    row = rows[e] = [x % p for x in row]
             head, tail = exps[:i], exps[i + 1 :]
             for k, factor in enumerate(row):
                 key = head + (k,) + tail
-                shifted[key] = shifted.get(key, 0) + coeff * factor
-        terms = {exps: domain.of(value) for exps, value in shifted.items()}
-    return Polynomial(ring, terms)
+                shifted[key] = shifted.get(key, 0) + value * factor
+        values = {exps: v % p for exps, v in shifted.items()} if p else shifted
+        den *= b_powers[E]
+    return Polynomial(ring, over_denominator(values, den, domain))
 
 
 def vanishing_order(F: Polynomial, point: Sequence):

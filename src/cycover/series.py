@@ -42,6 +42,8 @@ from .poly import (
     Polynomial,
     PrimeField,
     homogeneous_component,
+    integer_numerators,
+    over_denominator,
     poly_mul_truncated,
     truncate_degree,
 )
@@ -100,18 +102,15 @@ def gamma_coefficients(K: int, N: int) -> GammaTable:
 # -- multivariate truncations of the K-th root --------------------------------
 
 
-def _sum_with_one(w: Sequence[Polynomial]) -> Polynomial:
+def _check_pieces(w: Sequence[Polynomial]) -> None:
     if not w:
         raise ValueError("need at least one graded piece (zero is fine)")
     ring = w[0].ring
-    total = ring.one()
     for j, piece in enumerate(w, start=1):
         if piece.ring != ring:
             raise ValueError("graded pieces live in different rings")
         if not piece.is_zero() and (not piece.is_homogeneous() or piece.degree() != j):
             raise ValueError(f"piece {j} must be homogeneous of degree {j} or zero")
-        total = total + piece
-    return total
 
 
 def _pow_truncated(F: Polynomial, e: int, bound: int) -> Polynomial:
@@ -136,37 +135,55 @@ def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
     i ≤ N, so in characteristic p ≤ N the pieces come from
     ``_phi_by_powering`` instead.  Each returned piece is homogeneous of
     degree exactly i (or zero).
+
+    The recurrence runs on integers for both fields.  With D the lcm of
+    the w_b's denominators (D = 1 over GF(p)) and W_b = D·w_b, it keeps
+    integer numerators P_i of Φ_i = P_i/d_i, where d_0 = 1 and
+    d_i = K·i·D·d_{i−1}; then
+    P_i = Σ_b (b − K(i−b))·(d_{i−1}/d_{i−b})·P_{i−b}·W_b, and the ratio
+    d_{i−1}/d_{i−b} is an integer.  Over GF(p) each P_i is reduced mod p.
+    Each Φ_i becomes field elements once: over Q one ``Fraction`` per
+    term, over GF(p) one inverse of d_i.
     """
     if K < 2:
         raise ValueError("root index must be at least 2")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    g = _sum_with_one(w)
-    ring = g.ring
+    _check_pieces(w)
+    ring = w[0].ring
     domain = ring.domain
-    if domain.characteristic and domain.characteristic <= N:
+    p = domain.characteristic
+    if p and p <= N:
+        g = ring.one()
+        for piece in w:
+            g = g + piece
         return _phi_by_powering(g, K, N)
-    phis = [ring.one()]
+    D = lcm(*(c.denominator for piece in w for c in piece.terms.values()))
+    pieces = [list(integer_numerators(piece.terms, D).items()) for piece in w]
+    numerators = [{(0,) * ring.nvars: 1}]  # P_0, P_1, ...
+    dens = [1]  # d_0, d_1, ...
+    phis = []
     for i in range(1, N + 1):
         total: dict = {}
         for b in range(1, min(i, len(w)) + 1):
-            factor = b - K * (i - b)
+            factor = (b - K * (i - b)) * (dens[i - 1] // dens[i - b])
+            if p:
+                factor %= p
             if not factor:
                 continue
-            factor = domain.of(factor)
-            for e2, c2 in w[b - 1].terms.items():
-                c2 = domain.mul(c2, factor)
-                for e1, c1 in phis[i - b].terms.items():
+            for e2, c2 in pieces[b - 1]:
+                c2 *= factor
+                if p:
+                    c2 %= p
+                for e1, c1 in numerators[i - b].items():
                     key = tuple(x + y for x, y in zip(e1, e2))
                     total[key] = total.get(key, 0) + c1 * c2
-        scale = domain.inv(domain.of(K * i))
-        phis.append(
-            Polynomial(
-                ring,
-                {e: domain.mul(domain.of(c), scale) for e, c in total.items()},
-            )
-        )
-    return phis[1:]
+        if p:
+            total = {e: c % p for e, c in total.items()}
+        numerators.append(total)
+        dens.append(K * i * D * dens[i - 1])
+        phis.append(Polynomial(ring, over_denominator(total, dens[i], domain)))
+    return phis
 
 
 def _phi_by_powering(g: Polynomial, K: int, N: int) -> list:

@@ -410,3 +410,32 @@ def test_random_homogeneous_is_homogeneous(seed, degree):
     F = random_homogeneous(R2, degree, seed)
     assert F.is_homogeneous()
     assert F.is_zero() or F.degree() == degree
+
+
+@pytest.mark.parametrize(
+    "domain, points",
+    [
+        (QQ, [(Fraction(1, 2), Fraction(-3, 7), 5), (Fraction(-5, 4), 0, Fraction(2, 9))]),
+        (PrimeField(2), [(1, 1, 1), (1, 0, 1)]),
+        (PrimeField(3), [(1, 2, 2), (2, 0, 1)]),
+    ],
+    ids=["QQ", "GF2", "GF3"],
+)
+def test_translate_over_a_common_denominator_matches_substitution(domain, points):
+    # Coefficients over distinct large denominators (one near 2^61) and
+    # shifts with different denominators, so the running denominator grows
+    # by b^E at every shift; in characteristic 2 and 3 the exponents reach
+    # past p, so the binomial rows vanish in places mod p.
+    ring = ring_over(("u", "v", "w"), domain, weights=(1, 2, 3))
+    u, v, w = ring.gens()
+    F = (
+        (u**5 * w**2).scale(Fraction(5, 2**61 - 1))
+        + (v**4 * u).scale(Fraction(-7, 1234567))
+        + (w**3).scale(Fraction(3, 1000003))
+        + (u * v * w).scale(Fraction(11, 13))
+        + u**2
+        + ring.const(Fraction(-1, 10007))
+    )
+    for point in points:
+        images = [ring.gen(i) + ring.const(c) for i, c in enumerate(point)]
+        assert translate_origin(F, point) == F.substitute(images)

@@ -168,16 +168,35 @@ class TestPhi:
         assert vanishing_order(root**2 - g, (0, 0)) >= 5
 
 
+def _integral(j):
+    return 1
+
+
+def _denominator_per_piece(j):
+    # Piece j over 3j + 2, and the last piece over the prime 2^61 − 1, so
+    # the recurrence's common denominator D is neither 1 nor any one
+    # piece's denominator.
+    return F(1, 2**61 - 1) if j == 4 else F(1, 3 * j + 2)
+
+
 @pytest.mark.parametrize(
-    "domain",
-    [QQ, PrimeField(3), PrimeField(5), GF101],
-    ids=["QQ", "GF3", "GF5", "GF101"],
+    "domain, scale",
+    [
+        (QQ, _integral),
+        (QQ, _denominator_per_piece),
+        (PrimeField(2), _integral),
+        (PrimeField(3), _integral),
+        (PrimeField(5), _integral),
+        (GF101, _denominator_per_piece),
+    ],
+    ids=["QQ", "QQ-denominators", "GF2", "GF3", "GF5", "GF101"],
 )
-def test_phi_routes_match_the_defining_identity(domain):
+def test_phi_routes_match_the_defining_identity(domain, scale):
     # Characteristic 0 or p > N takes the Euler-operator recurrence; p ≤ N
-    # (GF(3) from N = 3, GF(5) from N = 5) takes the powering route.  Either
-    # way the partial root's K-th power must match 1 + Σ w_j through degree
-    # N, and where both routes apply they must agree.
+    # (GF(2) from N = 2, GF(3) from N = 3, GF(5) from N = 5) takes the
+    # powering route.  Either way the partial root's K-th power must match
+    # 1 + Σ w_j through degree N, and where both routes apply they must
+    # agree.
     from cycover.series import _phi_by_powering, _pow_truncated
 
     ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
@@ -185,7 +204,10 @@ def test_phi_routes_match_the_defining_identity(domain):
     for K in (2, 3, 4):
         if p and K % p == 0:
             continue
-        w = [random_homogeneous(ring, j, 97 * K + j) for j in range(1, 5)]
+        w = [
+            random_homogeneous(ring, j, 97 * K + j).scale(scale(j))
+            for j in range(1, 5)
+        ]
         g = ring.one()
         for piece in w:
             g = g + piece
