@@ -174,25 +174,36 @@ class _Parser:
             )
         self.fail(f"expected {wanted}, found {token.describe()}", token)
 
-    def expression(self) -> Polynomial:
-        # One dict for the whole sum, so an n-term sum builds one polynomial
-        # instead of n running sums.
+    # Sub-expressions are plain {exponents: coefficient} dicts, so a form
+    # builds one polynomial, in ``parse_polynomial``, whatever its shape.
+
+    def expression(self) -> dict:
         domain = self.ring.domain
-        total = dict(self.term().terms)
+        total = self.term()
         while self.peek().kind in ("+", "-"):
             combine = domain.add if self.advance().kind == "+" else domain.sub
-            for exps, coeff in self.term().terms.items():
+            for exps, coeff in self.term().items():
                 total[exps] = combine(total.get(exps, domain.zero), coeff)
-        return Polynomial(self.ring, total)
+        return total
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         value = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            value = value * self.factor()
+            value = self.product(value, self.factor())
         return value
 
-    def factor(self) -> Polynomial:
+    def product(self, left: dict, right: dict) -> dict:
+        domain = self.ring.domain
+        out: dict = {}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                value = domain.mul(c1, c2)
+                out[key] = domain.add(out[key], value) if key in out else value
+        return out
+
+    def factor(self) -> dict:
         token = self.peek()
         if token.kind in ("-", _NUMBER):
             return self.rational()
@@ -215,7 +226,7 @@ class _Parser:
                 power = int(exponent.text)
             exps = [0] * self.ring.nvars
             exps[index] = power
-            return self.ring.monomial(exps)
+            return {tuple(exps): self.ring.domain.one}
         if token.kind == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nested more than {MAX_NESTING} deep", token)
@@ -231,7 +242,7 @@ class _Parser:
         self.fail_unexpected(token, "a rational, a variable, or '('")
         raise AssertionError("unreachable")
 
-    def rational(self) -> Polynomial:
+    def rational(self) -> dict:
         sign = 1
         token = self.peek()
         if token.kind == "-":
@@ -262,9 +273,10 @@ class _Parser:
                     "zero denominator in rational", denominator_token, _VALUE_ERROR
                 )
         try:
-            return self.ring.const(Fraction(numerator, denominator))
+            value = self.ring.domain.of(Fraction(numerator, denominator))
         except ValueError as error:  # the denominator vanishes mod p
             self.fail(str(error), token, _VALUE_ERROR)
+        return {(0,) * self.ring.nvars: value}
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
@@ -274,11 +286,11 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     variables, and zero denominators.  Multiplication is never implicit.
     """
     parser = _Parser(_tokenize(text), ring)
-    value = parser.expression()
+    terms = parser.expression()
     trailing = parser.peek()
     if trailing.kind != _END:
         parser.fail_unexpected(trailing, "'+', '-', '*', or end of input")
-    return value
+    return Polynomial(ring, terms)
 
 
 # -- instance files ------------------------------------------------------------
