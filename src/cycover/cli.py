@@ -36,6 +36,7 @@ apart from the timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -575,6 +576,17 @@ def run_certify(
 # -- campaign -------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _fixed_instance(text: str, prime: int) -> CoverInstance:
+    """A fixed campaign instance, reduced mod ``prime`` when the file works
+    over the rationals.  Every task of a campaign checks the same one, so
+    it is parsed once per process for each (file text, prime) pair."""
+    instance = parse_instance_file(text).instance
+    if not isinstance(instance.domain, PrimeField):
+        instance = instance_mod_p(instance, prime)
+    return instance
+
+
 def _campaign_task(payload: tuple) -> Dict[str, Any]:
     """One (trial, point) unit of campaign work.  The payload is (config,
     trial, side, index); the config is a frozen dataclass, so it pickles
@@ -587,9 +599,7 @@ def _campaign_task(payload: tuple) -> Dict[str, Any]:
             PrimeField(config.prime),
         )
     else:
-        instance = parse_instance_file(config.instance_text).instance
-        if not isinstance(instance.domain, PrimeField):
-            instance = instance_mod_p(instance, config.prime)
+        instance = _fixed_instance(config.instance_text, config.prime)
     return _check_sampled_point(
         instance, side, index, config.master_seed, config.checks, trial=trial
     )

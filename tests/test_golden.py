@@ -87,6 +87,13 @@ GF17_REFUTED_CAMPAIGN_ARGS = [
     "--points-off", "1", "--points-on", "1", "--prime", "17", "--seed", "5",
 ]
 
+# A campaign over a fixed instance file over Q, reduced mod the default
+# prime: twenty tasks that all check the same instance.
+FIXED_INSTANCE_CAMPAIGN_ARGS = [
+    "campaign", "{data}/rational-5422.inst", "--trials", "4",
+    "--points-off", "3", "--points-on", "2", "--seed", "3",
+]
+
 GOLDEN = {
     "campaign-5422-seed7.json": CAMPAIGN_ARGS,
     "campaign-5223-seed7.json": CUBE_CAMPAIGN_ARGS,
@@ -100,6 +107,7 @@ GOLDEN = {
     "campaign-5223-p13-seed2.json": CUBE_SMALL_PRIME_CAMPAIGN_ARGS,
     "campaign-5422-p5-seed1.json": GF5_CAMPAIGN_ARGS,
     "campaign-5422-p17-seed5.json": GF17_REFUTED_CAMPAIGN_ARGS,
+    "campaign-rational-5422-seed3.json": FIXED_INSTANCE_CAMPAIGN_ARGS,
 }
 # Exit codes other than EXIT_CERTIFIED; every run is checked against its own.
 EXIT_CODES = {
@@ -128,6 +136,27 @@ def stripped_report(name: str, directory: Path) -> str:
 def test_report_matches_golden(name, tmp_path):
     expected = (DATA / name).read_text()
     assert stripped_report(name, tmp_path) == expected
+
+
+def test_fixed_instance_campaign_parses_its_file_at_most_three_times(
+    tmp_path, monkeypatch
+):
+    # The command reads the file and the config checks its family; the
+    # tasks then share one parsed instance instead of parsing it each.
+    from cycover import parsing
+
+    texts = []
+    original = parsing.parse_instance_file
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(parsing, "parse_instance_file", counting)
+    monkeypatch.setattr(cli, "parse_instance_file", counting)
+    name = "campaign-rational-5422-seed3.json"
+    assert stripped_report(name, tmp_path) == (DATA / name).read_text()
+    assert 1 <= len(texts) <= 3
 
 
 def main(names) -> int:
