@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cover import CoverInstance, require_invertible_cover_degree
 from .family import CoverFamily, validate_family
-from .poly import QQ, Polynomial, PolyRing, PrimeField, ring_over
+from .poly import QQ, Polynomial, PolyRing, PrimeField, mul_terms, ring_over
 
 __all__ = [
     "ParseError",
@@ -190,18 +190,8 @@ class _Parser:
         value = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            value = self.product(value, self.factor())
+            value = mul_terms(value, self.factor(), self.ring.domain)
         return value
-
-    def product(self, left: dict, right: dict) -> dict:
-        domain = self.ring.domain
-        out: dict = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                value = domain.mul(c1, c2)
-                out[key] = domain.add(out[key], value) if key in out else value
-        return out
 
     def factor(self) -> dict:
         token = self.peek()

@@ -460,19 +460,23 @@ def poly_mul(F: Polynomial, G: Polynomial) -> Polynomial:
     """Exact product; raises RingMismatchError across rings."""
     if F.ring != G.ring:
         raise RingMismatchError("polynomials belong to different rings")
-    domain = F.ring.domain
-    if len(F.terms) > len(G.terms):
-        F, G = G, F
+    return Polynomial(F.ring, mul_terms(F.terms, G.terms, F.ring.domain))
+
+
+def mul_terms(f: Mapping, g: Mapping, domain: Domain) -> dict:
+    """The product of two {exponents: coefficient} maps, zeros kept."""
+    if len(f) > len(g):
+        f, g = g, f
     result: dict = {}
-    for e1, c1 in F.terms.items():
-        for e2, c2 in G.terms.items():
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
             key = tuple(a + b for a, b in zip(e1, e2))
             value = domain.mul(c1, c2)
             if key in result:
                 result[key] = domain.add(result[key], value)
             else:
                 result[key] = value
-    return Polynomial(F.ring, result)
+    return result
 
 
 def poly_mul_truncated(F: Polynomial, G: Polynomial, max_degree: int) -> Polynomial:
