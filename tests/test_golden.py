@@ -87,6 +87,14 @@ GF17_REFUTED_CAMPAIGN_ARGS = [
     "--points-off", "1", "--points-on", "1", "--prime", "17", "--seed", "5",
 ]
 
+# Over GF(3) the regularity sequence reaches degree N = 3 = p, where
+# K·i is not invertible for every i ≤ N, so the root pieces Φ_i cannot be
+# reduced mod p on every step.
+GF3_CAMPAIGN_ARGS = [
+    "campaign", "--family", "5,4,2,2", "--trials", "1",
+    "--points-off", "2", "--points-on", "0", "--prime", "3", "--seed", "4",
+]
+
 # A campaign over a fixed instance file over Q, reduced mod the default
 # prime: twenty tasks that all check the same instance.
 FIXED_INSTANCE_CAMPAIGN_ARGS = [
@@ -107,6 +115,7 @@ GOLDEN = {
     "campaign-5223-p13-seed2.json": CUBE_SMALL_PRIME_CAMPAIGN_ARGS,
     "campaign-5422-p5-seed1.json": GF5_CAMPAIGN_ARGS,
     "campaign-5422-p17-seed5.json": GF17_REFUTED_CAMPAIGN_ARGS,
+    "campaign-5422-p3-seed4.json": GF3_CAMPAIGN_ARGS,
     "campaign-rational-5422-seed3.json": FIXED_INSTANCE_CAMPAIGN_ARGS,
 }
 # Exit codes other than EXIT_CERTIFIED; every run is checked against its own.
