@@ -479,36 +479,6 @@ def mul_terms(f: Mapping, g: Mapping, domain: Domain) -> dict:
     return result
 
 
-def poly_mul_truncated(F: Polynomial, G: Polynomial, max_degree: int) -> Polynomial:
-    """Product with all terms of weighted degree > max_degree dropped."""
-    if F.ring != G.ring:
-        raise RingMismatchError("polynomials belong to different rings")
-    ring = F.ring
-    domain = ring.domain
-    f_terms = [(e, c, ring.wdeg(e)) for e, c in F.terms.items()]
-    g_terms = [(e, c, ring.wdeg(e)) for e, c in G.terms.items()]
-    result: dict = {}
-    for e1, c1, d1 in f_terms:
-        if d1 > max_degree:
-            continue
-        allowance = max_degree - d1
-        for e2, c2, d2 in g_terms:
-            if d2 > allowance:
-                continue
-            key = tuple(a + b for a, b in zip(e1, e2))
-            value = domain.mul(c1, c2)
-            if key in result:
-                result[key] = domain.add(result[key], value)
-            else:
-                result[key] = value
-    return Polynomial(ring, result)
-
-
-def truncate_degree(F: Polynomial, max_degree: int) -> Polynomial:
-    ring = F.ring
-    return Polynomial(ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) <= max_degree})
-
-
 def poly_eval(F: Polynomial, point: Sequence):
     """Evaluate at a point with coordinates in the coefficient domain."""
     domain = F.ring.domain
@@ -532,13 +502,6 @@ def homogeneous_components(F: Polynomial) -> dict:
     for exps, coeff in F.terms.items():
         buckets.setdefault(ring.wdeg(exps), {})[exps] = coeff
     return {d: Polynomial(ring, terms) for d, terms in sorted(buckets.items())}
-
-
-def homogeneous_component(F: Polynomial, degree: int) -> Polynomial:
-    ring = F.ring
-    return Polynomial(
-        ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) == degree}
-    )
 
 
 def compose(F: Polynomial, images: Sequence, one):
@@ -573,12 +536,16 @@ def integer_numerators(terms: Mapping, den: int) -> dict:
 
 def over_denominator(values: Mapping, den: int, domain: Domain) -> dict:
     """The field elements v/den of integer numerators v, canonical: one
-    ``Fraction`` per value over Q, one inverse of den over GF(p)."""
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        scale = domain.inv(den)
-        return {e: v * scale % p for e, v in values.items()}
-    return {e: Fraction(v, den) for e, v in values.items()}
+    ``Fraction`` per value over Q, one inverse of den over GF(p).  Where p
+    divides den, each v/den goes through ``Fraction`` in lowest terms, and
+    ``PrimeField.of`` raises if its denominator still vanishes mod p."""
+    if not isinstance(domain, PrimeField):
+        return {e: Fraction(v, den) for e, v in values.items()}
+    p = domain.p
+    if den % p == 0:
+        return {e: domain.of(Fraction(v, den)) for e, v in values.items()}
+    scale = domain.inv(den)
+    return {e: v * scale % p for e, v in values.items()}
 
 
 def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:

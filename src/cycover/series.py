@@ -41,11 +41,8 @@ from .poly import (
     Domain,
     Polynomial,
     PrimeField,
-    homogeneous_component,
     integer_numerators,
     over_denominator,
-    poly_mul_truncated,
-    truncate_degree,
 )
 
 
@@ -113,37 +110,32 @@ def _check_pieces(w: Sequence[Polynomial]) -> None:
             raise ValueError(f"piece {j} must be homogeneous of degree {j} or zero")
 
 
-def _pow_truncated(F: Polynomial, e: int, bound: int) -> Polynomial:
-    result = F.ring.one()
-    base = truncate_degree(F, bound)
-    while e:
-        if e & 1:
-            result = poly_mul_truncated(result, base, bound)
-        e >>= 1
-        if e:
-            base = poly_mul_truncated(base, base, bound)
-    return result
-
-
 def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
     """Homogeneous pieces Φ_1..Φ_N of (1 + Σ w_j)^(1/K).
 
     With P = (1 + W)^(1/K) and E the (weighted) Euler operator,
     K·(1 + W)·E(P) = P·E(W); its degree-i piece is the recurrence
     K·i·Φ_i = Σ_{b=1..i} (b − K(i−b))·Φ_{i−b}·w_b with Φ_0 = 1, one
-    homogeneous product per (i, b).  It needs K·i invertible for every
-    i ≤ N, so in characteristic p ≤ N the pieces come from
-    ``_phi_by_powering`` instead.  Each returned piece is homogeneous of
+    homogeneous product per (i, b).  Each returned piece is homogeneous of
     degree exactly i (or zero).
 
-    The recurrence runs on integers for both fields.  With D the lcm of
-    the w_b's denominators (D = 1 over GF(p)) and W_b = D·w_b, it keeps
-    integer numerators P_i of Φ_i = P_i/d_i, where d_0 = 1 and
+    The recurrence runs on integers in every characteristic.  With D the
+    lcm of the w_b's denominators (D = 1 over GF(p)) and W_b = D·w_b, it
+    keeps integer numerators P_i of Φ_i = P_i/d_i, where d_0 = 1 and
     d_i = K·i·D·d_{i−1}; then
     P_i = Σ_b (b − K(i−b))·(d_{i−1}/d_{i−b})·P_{i−b}·W_b, and the ratio
-    d_{i−1}/d_{i−b} is an integer.  Over GF(p) each P_i is reduced mod p.
-    Each Φ_i becomes field elements once: over Q one ``Fraction`` per
-    term, over GF(p) one inverse of d_i.
+    d_{i−1}/d_{i−b} is an integer.  Each Φ_i becomes field elements once:
+    over Q one ``Fraction`` per term, over GF(p) one inverse of d_i.
+
+    Over GF(p) with p > N no d_i is divisible by p, so each P_i is reduced
+    mod p.  With p ≤ N the recurrence runs on the unreduced integers: it
+    then computes the pieces over Q of the integer lifts of the w_b, whose
+    coefficients are integer combinations of binom(1/K, j) =
+    (1/K)(1/K − 1)⋯(1/K − j + 1)/j!.  For p ∤ K these are p-integral
+    (1/K is a p-adic integer, and binomial coefficients take p-adic
+    integers to p-adic integers), so each P_i/d_i in lowest terms has a
+    denominator prime to p and reduces mod p to the piece over GF(p).
+    ``over_denominator`` does that reduction through ``Fraction``.
     """
     if K < 2:
         raise ValueError("root index must be at least 2")
@@ -153,11 +145,7 @@ def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
     ring = w[0].ring
     domain = ring.domain
     p = domain.characteristic
-    if p and p <= N:
-        g = ring.one()
-        for piece in w:
-            g = g + piece
-        return _phi_by_powering(g, K, N)
+    modulus = p if p > N else 0
     D = lcm(*(c.denominator for piece in w for c in piece.terms.values()))
     pieces = [list(integer_numerators(piece.terms, D).items()) for piece in w]
     numerators = [{(0,) * ring.nvars: 1}]  # P_0, P_1, ...
@@ -167,40 +155,22 @@ def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
         total: dict = {}
         for b in range(1, min(i, len(w)) + 1):
             factor = (b - K * (i - b)) * (dens[i - 1] // dens[i - b])
-            if p:
-                factor %= p
+            if modulus:
+                factor %= modulus
             if not factor:
                 continue
             for e2, c2 in pieces[b - 1]:
                 c2 *= factor
-                if p:
-                    c2 %= p
+                if modulus:
+                    c2 %= modulus
                 for e1, c1 in numerators[i - b].items():
                     key = tuple(x + y for x, y in zip(e1, e2))
                     total[key] = total.get(key, 0) + c1 * c2
-        if p:
-            total = {e: c % p for e, c in total.items()}
+        if modulus:
+            total = {e: c % modulus for e, c in total.items()}
         numerators.append(total)
         dens.append(K * i * D * dens[i - 1])
         phis.append(Polynomial(ring, over_denominator(total, dens[i], domain)))
-    return phis
-
-
-def _phi_by_powering(g: Polynomial, K: int, N: int) -> list:
-    """Φ_1..Φ_N for g = 1 + Σ w_j, degree by degree: with
-    R_i = 1 + Φ_1 + ... + Φ_i, the degree-i piece of R_i^K must match that
-    of g, which forces Φ_i = [g − R_{i−1}^K]_i / K.  Needs only K
-    invertible."""
-    ring = g.ring
-    domain = ring.domain
-    inv_K = domain.inv(domain.of(K))
-    partial = ring.one()
-    phis = []
-    for i in range(1, N + 1):
-        mismatch = g - _pow_truncated(partial, K, i)
-        phi = homogeneous_component(mismatch, i).scale(inv_K)
-        phis.append(phi)
-        partial = partial + phi
     return phis
 
 

@@ -17,6 +17,9 @@ library by other means, so a test can compare the two:
   division recurrence;
 * K-th roots of series solved degree by degree, re-powering the partial
   root each time, as against the Newton lift of ``series_kth_root``;
+* the root pieces Φ_i of (1 + Σ w_j)^(1/K) solved the same way, degree by
+  degree on truncated polynomial powers, as against the integer Euler
+  recurrence of ``cycover.series.phi_polynomials``;
 * Macaulay matrices built row by row as Python lists, one dict lookup per
   entry, as against the array scatter of ``cycover.regseq``.
 """
@@ -27,6 +30,7 @@ from cycover.poly import (
     Polynomial,
     PolyRing,
     PrimeField,
+    RingMismatchError,
     compose,
     monomials_of_degree,
     poly_mul,
@@ -281,6 +285,80 @@ def kth_root_degree_by_degree(c: TruncatedSeries, K: int) -> TruncatedSeries:
         power = TruncatedSeries(domain, tuple(coeffs)).truncate(d).pow_int(K)
         coeffs[d] = domain.mul(domain.sub(c[d], power[d]), inv_K)
     return TruncatedSeries(domain, tuple(coeffs))
+
+
+# -- multivariate K-th roots, degree by degree ---------------------------------
+
+
+def truncate_degree(F: Polynomial, max_degree: int) -> Polynomial:
+    """F with every term of weighted degree above ``max_degree`` dropped."""
+    ring = F.ring
+    return Polynomial(ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) <= max_degree})
+
+
+def homogeneous_component(F: Polynomial, degree: int) -> Polynomial:
+    """The terms of F of weighted degree exactly ``degree``."""
+    ring = F.ring
+    return Polynomial(
+        ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) == degree}
+    )
+
+
+def poly_mul_truncated(F: Polynomial, G: Polynomial, max_degree: int) -> Polynomial:
+    """Product with all terms of weighted degree > max_degree dropped."""
+    if F.ring != G.ring:
+        raise RingMismatchError("polynomials belong to different rings")
+    ring = F.ring
+    domain = ring.domain
+    f_terms = [(e, c, ring.wdeg(e)) for e, c in F.terms.items()]
+    g_terms = [(e, c, ring.wdeg(e)) for e, c in G.terms.items()]
+    result: dict = {}
+    for e1, c1, d1 in f_terms:
+        if d1 > max_degree:
+            continue
+        allowance = max_degree - d1
+        for e2, c2, d2 in g_terms:
+            if d2 > allowance:
+                continue
+            key = tuple(a + b for a, b in zip(e1, e2))
+            value = domain.mul(c1, c2)
+            if key in result:
+                result[key] = domain.add(result[key], value)
+            else:
+                result[key] = value
+    return Polynomial(ring, result)
+
+
+def pow_truncated(F: Polynomial, e: int, bound: int) -> Polynomial:
+    """F^e through weighted degree ``bound``, by repeated squaring with
+    every product clipped; degree truncation is a ring quotient map."""
+    result = F.ring.one()
+    base = truncate_degree(F, bound)
+    while e:
+        if e & 1:
+            result = poly_mul_truncated(result, base, bound)
+        e >>= 1
+        if e:
+            base = poly_mul_truncated(base, base, bound)
+    return result
+
+
+def phi_by_powering(g: Polynomial, K: int, N: int) -> list:
+    """Φ_1..Φ_N for g = 1 + Σ w_j, degree by degree: with
+    R_i = 1 + Φ_1 + ... + Φ_i, the degree-i piece of R_i^K must match that
+    of g, which forces Φ_i = [g − R_{i−1}^K]_i / K.  Needs only K
+    invertible."""
+    ring = g.ring
+    domain = ring.domain
+    inv_K = domain.inv(domain.of(K))
+    partial = ring.one()
+    phis = []
+    for i in range(1, N + 1):
+        mismatch = g - pow_truncated(partial, K, i)
+        phi = homogeneous_component(mismatch, i).scale(inv_K)
+        phis.append(phi)
+        partial = partial + phi
+    return phis
 
 
 # -- Macaulay matrices, one entry at a time ------------------------------------

@@ -50,10 +50,8 @@ from cycover.parsing import parse_polynomial
 from cycover.poly import (
     QQ,
     PrimeField,
-    poly_mul_truncated,
     random_homogeneous,
     ring_over,
-    truncate_degree,
     vanishing_order,
 )
 from cycover.regseq import (
@@ -75,6 +73,7 @@ from cycover.seeds import (
 from cycover.series import gamma_coefficients, phi_polynomials
 
 from helpers import shuffle
+from oracles import pow_truncated, truncate_degree
 
 WORKHORSE = CoverFamily(
     dimension=5, base_degree=4, branch_weight=2, cover_degree=2
@@ -86,24 +85,6 @@ SAMPLING_PRIME = 1_000_003
 # the test collector does not pick the borrowed class up a second time.
 catalog = test_regseq.catalog
 linear_change = test_regseq.TestDimensionInvariance.linear_change
-
-
-def truncated_power(base, exponent, max_degree):
-    """base**exponent with every product clipped at max_degree.
-
-    Degree truncation is a ring quotient map, so this equals the degree
-    <= max_degree part of the full power.
-    """
-    result = base.ring.one()
-    square = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = poly_mul_truncated(result, square, max_degree)
-        e >>= 1
-        if e:
-            square = poly_mul_truncated(square, square, max_degree)
-    return result
 
 
 # -- 1. truncated roots raised back to the cover degree ---------------------------
@@ -147,7 +128,7 @@ def test_truncated_root_powers_recover_the_series():
             origin = (0,) * nvars
             for k in range(1, max_k + 1):
                 root = root + phis[k - 1]
-                difference = truncated_power(root, K, k) - truncate_degree(
+                difference = pow_truncated(root, K, k) - truncate_degree(
                     target, k
                 )
                 order = vanishing_order(difference, origin)
@@ -193,7 +174,7 @@ def test_root_coefficients_match_closed_form_and_recurrence():
                 assert table[i] == previous * (alpha - (i - 1)) / i, (K, i)
             previous = table[i]
             series = series + u.scale(0) + (u**i).scale(table[i])
-        power = truncated_power(series, K, top)
+        power = pow_truncated(series, K, top)
         assert power == line.one() + u, f"K = {K} root fails to exponentiate back"
     spot = gamma_coefficients(2, 3)
     assert spot.coefficients == (

@@ -40,7 +40,7 @@ from cycover.regseq import CERTIFIED_REGULAR
 from cycover.series import poly_on_series
 from cycover.seeds import Rng
 from helpers import truncated_kth_root
-from oracles import poly_on_series_by_terms
+from oracles import homogeneous_component, poly_on_series_by_terms, truncate_degree
 
 WORKHORSE = validate_family(5, 4, 2, 2)
 
@@ -370,13 +370,9 @@ class TestRegularitySequence:
         chart = localize(inst, (0, 1, 1, 0, 0, 0, 0))
         case = regularity_sequence(chart)
         phi3 = case.members[-1]
-        from cycover.poly import truncate_degree
-
         root = truncated_kth_root(list(chart.branch_pieces[1:]), 2, 3)
         assert truncate_degree(root * root - chart.localized_branch, 3).is_zero()
         # the last member is the degree-3 piece of that root
-        from cycover.poly import homogeneous_component
-
         assert phi3 == homogeneous_component(root, 3)
 
     def test_high_case_shape_and_certification(self):

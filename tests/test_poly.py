@@ -21,19 +21,16 @@ from cycover.poly import (
     PrimeField,
     QQ,
     RingMismatchError,
-    homogeneous_component,
     homogeneous_components,
     monomials_of_degree,
     poly_eval,
     poly_mul,
-    poly_mul_truncated,
     random_homogeneous,
     ring_over,
     translate_origin,
-    truncate_degree,
     vanishing_order,
 )
-from oracles import derivative
+from oracles import derivative, poly_mul_truncated, truncate_degree
 
 R2 = ring_over(("z1", "z2"))
 R1 = ring_over(("z1",))
@@ -80,7 +77,7 @@ class TestWorkedExamples:
         assert parts[0] == R2.const(5)
         assert parts[1] == z1
         assert parts[2] == z1 * z2
-        assert homogeneous_component(F, 3).is_zero()
+        assert 3 not in parts
 
     def test_weighted_degree(self):
         ring = ring_over(("z", "y"), QQ, weights=(1, 3))

@@ -17,7 +17,6 @@ from cycover.poly import (
     monomials_of_degree,
     random_homogeneous,
     ring_over,
-    truncate_degree,
     vanishing_order,
 )
 from cycover.seeds import Rng
@@ -50,8 +49,11 @@ from oracles import (
     arc_lift_by_recomposition,
     compose_by_power_caching,
     kth_root_degree_by_degree,
+    phi_by_powering,
     poly_on_series_by_terms,
+    pow_truncated,
     series_inverse,
+    truncate_degree,
 )
 
 R2 = ring_over(("z1", "z2"))
@@ -192,13 +194,10 @@ def _denominator_per_piece(j):
     ids=["QQ", "QQ-denominators", "GF2", "GF3", "GF5", "GF101"],
 )
 def test_phi_routes_match_the_defining_identity(domain, scale):
-    # Characteristic 0 or p > N takes the Euler-operator recurrence; p ≤ N
-    # (GF(2) from N = 2, GF(3) from N = 3, GF(5) from N = 5) takes the
-    # powering route.  Either way the partial root's K-th power must match
-    # 1 + Σ w_j through degree N, and where both routes apply they must
-    # agree.
-    from cycover.series import _phi_by_powering, _pow_truncated
-
+    # The partial root's K-th power must match 1 + Σ w_j through degree N,
+    # and the Euler-operator recurrence must agree with the powering
+    # oracle, also where p ≤ N (GF(2) from N = 2, GF(3) from N = 3, GF(5)
+    # from N = 5) and the recurrence runs unreduced.
     ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
     p = domain.characteristic
     for K in (2, 3, 4):
@@ -217,9 +216,31 @@ def test_phi_routes_match_the_defining_identity(domain, scale):
             for i, phi in enumerate(phis, start=1):
                 assert phi.is_zero() or (phi.is_homogeneous() and phi.degree() == i)
                 root = root + phi
-            assert _pow_truncated(root, K, N) == truncate_degree(g, N)
-            if not p or p > N:
-                assert phis == _phi_by_powering(g, K, N)
+            assert pow_truncated(root, K, N) == truncate_degree(g, N)
+            assert phis == phi_by_powering(g, K, N)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_phi_recurrence_matches_powering_in_small_characteristic(p):
+    # Every N ≤ 8 for K = 2..5 with p ∤ K: the recurrence reduces mod p
+    # while p > N and runs on unreduced integers from N = p on, where p
+    # divides d_i for i ≥ p and the pieces reduce through Fractions.
+    domain = PrimeField(p)
+    ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
+    for K in range(2, 6):
+        if K % p == 0:
+            continue
+        for seed in range(6):
+            w = [
+                random_homogeneous(ring, j, 1000 * p + 10 * K + seed + 97 * j)
+                for j in range(1, 5)
+            ]
+            g = ring.one()
+            for piece in w:
+                g = g + piece
+            expected = phi_by_powering(g, K, 8)
+            for N in range(1, 9):
+                assert phi_polynomials(w, K, N) == expected[:N], (K, seed, N)
 
 
 class TestTruncateF:
@@ -435,14 +456,11 @@ def test_root_identity_random_collections(seed, K, k):
     # vanishing_order(root^K - g, 0) >= k+1 holds iff every component of
     # degree <= k cancels, which only involves the truncated power; the
     # truncation keeps dense high-degree products out of the hot path.
-    from cycover.poly import random_homogeneous, truncate_degree
-    from cycover.series import _pow_truncated
-
     ring = ring_over(("z1", "z2", "z3"))
     w = [random_homogeneous(ring, j, seed + 31 * j) for j in range(1, 4)]
     g = ring.one() + w[0] + w[1] + w[2]
     root = truncated_kth_root(w, K, k)
-    defect_low = _pow_truncated(root, K, k) - truncate_degree(g, k)
+    defect_low = pow_truncated(root, K, k) - truncate_degree(g, k)
     assert defect_low.is_zero()
 
 
