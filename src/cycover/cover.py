@@ -757,100 +757,84 @@ def _arc_off_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
     return Arc(components, {"base": N + 1, "cover": N + 1})
 
 
-def _random_cover_compatible_series(domain, rng: Rng, K: int, N: int) -> TruncatedSeries:
-    """A random series supported on powers of t^K, vanishing at t = 0."""
+def _in_t(s: TruncatedSeries, K: int, N: int, shift: int = 0) -> TruncatedSeries:
+    """t^shift·s(t^K) through t^N, for a series s in u = t^K; it reads s
+    only through u^((N − shift)/K), and fails if s is not known that far."""
+    domain = s.domain
     coeffs = [domain.zero] * (N + 1)
-    for j in range(K, N + 1, K):
-        coeffs[j] = domain.random(rng)
+    coeffs[shift::K] = s.coeffs[: (N - shift) // K + 1]
     return TruncatedSeries(domain, tuple(coeffs))
 
 
 def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
-    """On-branch arcs: chart components are series in u = t^K, so the
-    composed branch form has order e = K*shift and a K-th root splits off as
-    t^shift times a unit root.
+    """On-branch arcs: the chart components are series in u = t^K, drawn
+    and lifted through u^N.  The composed branch form B(z(u)) then has
+    u-order shift, and y = t^shift·V(t^K) with V a unit K-th root.
 
-    The leading constant c of the composed branch form need not be a K-th
-    power.  When gcd(shift, K) = 1, pick a with a*shift = -1 (mod K) and
-    replace u by c^a * u, which scales the t^(jK) coefficient of every
-    chart component by c^(aj).  The leading constant becomes c^(1 + a*shift),
-    whose K-th root c^((1 + a*shift)/K) is known in any field.  Over an
-    extension this is the reparametrization t -> c^(a/K) * t, so vanishing
-    orders along the arc do not change.  Only gcd(shift, K) > 1, which needs
-    the t^K coefficient of the branch form along the arc to vanish, redraws.
+    The leading constant c of B(z(u)) need not be a K-th power.  When
+    gcd(shift, K) = 1, pick a with a*shift = -1 (mod K) and replace u by
+    c^a * u, which scales the u^j coefficient of every chart component by
+    c^(aj).  The leading constant becomes c^(1 + a*shift), whose K-th root
+    c^((1 + a*shift)/K) is known in any field.  Over an extension this is
+    the reparametrization t -> c^(a/K) * t, so vanishing orders along the
+    arc do not change.  Only gcd(shift, K) > 1, which needs the u
+    coefficient of the branch form along the arc to vanish, redraws.
 
-    The construction works at the inflated internal bound K*N so that the
-    cover component is honestly determined through t^N even after the shift.
+    Everything runs in u through u^N, which determines y through t^N
+    whatever the shift.  The components and y are written in t once, at
+    the end, so the chart components are supported on multiples of K and
+    the branch order in t is K*shift by construction.
     """
     fam = chart.family
     K = fam.cover_degree
     domain = chart.domain
     zring = chart.ring
     solved = _solved_variable(chart.base_piece(1))
-    internal = K * N
     for attempt in range(64):
         rng = Rng(derive_seed(seed, trial=attempt, purpose=PURPOSE_ARC))
         free = {
-            i: _random_cover_compatible_series(domain, rng, K, internal)
+            i: _random_small_series(domain, rng, N)
             for i in range(zring.nvars)
             if i != solved
         }
-        lifted = arc_lift(chart.localized_base, solved, free, internal)
-        if any(
-            not domain.is_zero(c)
-            for j, c in enumerate(lifted.coeffs)
-            if j % K != 0
-        ):
-            raise ArithmeticError(
-                "solved component left the cover-compatible subring"
-            )
+        lifted = arc_lift(chart.localized_base, solved, free, N)
         components = {}
         for i, name in enumerate(zring.variables):
             components[name] = lifted if i == solved else free[i]
         composed_branch = poly_on_series(chart.localized_branch, components)
-        e = composed_branch.order()
-        if e is None:
-            # The branch form vanishes along the arc through K*N, so the
-            # cover component vanishes through N.
+        shift = composed_branch.order()
+        if shift is None:
+            # The branch form vanishes along the arc through u^N, that is
+            # through t^(K*N), so the cover component vanishes through t^N.
             y = series_zero(domain, N)
         else:
-            if e % K != 0:
-                raise ArithmeticError(
-                    "composed branch form order is not divisible by the "
-                    "cover degree"
-                )
-            shift = e // K
             if gcd(shift, K) != 1:
                 continue  # no a solves a*shift = -1 (mod K); redraw the arc
-            lead = composed_branch[e]
+            lead = composed_branch[shift]
             a = -pow(shift, -1, K) % K
             root_constant = domain.pow(lead, (1 + a * shift) // K)
             powers = [domain.pow(lead, a * j) for j in range(N + 1)]
             components = {
-                name: TruncatedSeries(
-                    domain,
-                    tuple(domain.mul(c, powers[j // K]) for j, c in enumerate(s.coeffs)),
-                )
+                name: TruncatedSeries(domain, tuple(map(domain.mul, s.coeffs, powers)))
                 for name, s in components.items()
             }
             # Composed afresh, so the residual below checks the rescaled arc.
             composed_branch = poly_on_series(chart.localized_branch, components)
-            unit = TruncatedSeries(domain, composed_branch.coeffs[e:])
+            unit = TruncatedSeries(domain, composed_branch.coeffs[shift:])
             normalized = unit.scale(domain.inv(unit[0]))
             v = series_kth_root(normalized, K).scale(root_constant)
-            y = TruncatedSeries(
-                domain, (domain.zero,) * shift + v.coeffs[: N + 1 - shift]
-            )
-        # Truncation mod t^(N+1) is a ring homomorphism, so the branch form
-        # composed with the truncated components is composed_branch.truncate(N).
-        cover_residual = y.pow_int(K) - composed_branch.truncate(N)
+            y = _in_t(v, K, N, shift)
+        # u -> t^K followed by truncation mod t^(N+1) is a ring homomorphism,
+        # so the branch form composed with the components in t is
+        # composed_branch written in t.
+        cover_residual = y.pow_int(K) - _in_t(composed_branch, K, N)
         if cover_residual.order() is not None:
             raise ArithmeticError(
                 "cover component leaves a nonzero branch residual"
             )
-        truncated = {name: s.truncate(N) for name, s in components.items()}
-        truncated[COVER_VARIABLE] = y
-        return Arc(truncated, {"base": N + 1, "cover": N + 1})
+        in_t = {name: _in_t(s, K, N) for name, s in components.items()}
+        in_t[COVER_VARIABLE] = y
+        return Arc(in_t, {"base": N + 1, "cover": N + 1})
     raise SampleBudgetError(
         "no cover-compatible arc found in 64 attempts (the branch order "
         "along every arc shared a factor with the cover degree)"

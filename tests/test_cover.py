@@ -37,7 +37,7 @@ from cycover.cover import _line_restriction, _plane_restriction, _sylvester_dete
 from cycover.modular import is_kth_power_residue, poly1_eval
 from cycover.poly import QQ, Polynomial, PrimeField, poly_eval, random_homogeneous, ring_over
 from cycover.regseq import CERTIFIED_REGULAR
-from cycover.series import poly_on_series
+from cycover.series import TruncatedSeries, poly_on_series
 from cycover.seeds import Rng
 from helpers import truncated_kth_root
 from oracles import homogeneous_component, poly_on_series_by_terms, truncate_degree
@@ -565,6 +565,23 @@ class TestArcs:
         if domain is QQ:
             assert draws == [1] * 5
 
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("domain", [QQ, PrimeField(13)], ids=["QQ", "GF13"])
+    def test_on_branch_arcs_lift_in_u(self, domain, K, monkeypatch):
+        # The chart components are series in u = t^K, so the lift runs in u
+        # through u^N and the arc is written in t only at the end.
+        chart = _chart_through_e0(_ONE_DRAW_FAMILIES[K], domain, seed=1)
+        calls = _count_arc_lifts(monkeypatch)
+        for N in range(2, 9):
+            calls.clear()
+            arc = arc_through_chart_origin(chart, seed=N, order_bound=N)
+            assert calls and all(args[3] == N for args, _ in calls)
+            assert arc.order_bound == N
+            for name in chart.ring.variables:
+                series = arc.component(name)
+                assert all(c == domain.zero for j, c in enumerate(series.coeffs) if j % K)
+            _check_on_branch_arc(chart, arc)
+
     @pytest.mark.parametrize("K, seed, draws", [(2, 9, 2), (2, 13, 3), (3, 403, 2)])
     def test_on_branch_redraw_when_branch_order_shares_a_factor_with_K(
         self, K, seed, draws, monkeypatch
@@ -626,14 +643,23 @@ def _count_arc_lifts(monkeypatch) -> list:
     return calls
 
 
+def _u_series_in_t(s, K):
+    """s(t^K) through t^(K·N) for a series s in u known through u^N."""
+    coeffs = [s.domain.zero] * (K * s.order_bound + 1)
+    for j, c in enumerate(s.coeffs):
+        coeffs[K * j] = c
+    return TruncatedSeries(s.domain, tuple(coeffs))
+
+
 def _branch_shifts(chart, calls) -> list:
-    """For each recorded lift, the order of the branch form along the arc
-    it completes, divided by K; recomputed term by term."""
+    """For each recorded lift, a series in u = t^K, the order of the branch
+    form along the arc it completes, written in t, divided by K;
+    recomputed term by term."""
     K = chart.family.cover_degree
     shifts = []
     for (_, solved, free, _), lifted in calls:
         components = {
-            name: lifted if i == solved else free[i]
+            name: _u_series_in_t(lifted if i == solved else free[i], K)
             for i, name in enumerate(chart.ring.variables)
         }
         order = poly_on_series_by_terms(chart.localized_branch, components).order()
@@ -653,7 +679,8 @@ def _check_on_branch_arc(chart, arc):
     y = arc.component("y")
     assert (y.pow_int(K) - branch).order() is None
     assert y[0] == domain.zero
-    assert branch.order() is not None  # a generic arc leaves the branch locus
+    # A generic arc leaves the branch locus, so y is nonzero through t^N.
+    assert y.order() is not None
     for series in chart_components.values():
         assert series[0] == domain.zero
         assert all(domain.is_zero(c) for j, c in enumerate(series.coeffs) if j % K)
