@@ -602,8 +602,11 @@ def macaulay_case(domain, nvars, degrees, shared, seed):
     return ring, forms + random_linear_cuts(ring, nvars - len(forms), seed)
 
 
-# Saturating three cubics in three variables takes about 90 s, so the oracle
-# checks only the cases whose forms' degree product is at most this.
+# Saturating three cubics in three variables takes about 90 s, so the
+# saturation oracle checks only the cases whose forms' degree product is at
+# most this.  Above it the Groebner dimension decides instead: the zero set
+# of a homogeneous ideal is a cone, so the origin is isolated in it exactly
+# when it has dimension 0.
 ORACLE_DEGREE_PRODUCT = 6
 
 
@@ -635,6 +638,8 @@ def test_square_first_matches_full_matrix_and_saturation(domain, shape, shared, 
         product *= d + shared
     if product <= ORACLE_DEGREE_PRODUCT:
         assert decision == origin_isolated_by_saturation(gens, ring)
+    else:
+        assert decision == (ideal_dimension(ideal(ring, gens)) == 0)
 
 
 def test_square_matrix_has_one_row_per_column():
