@@ -539,13 +539,13 @@ def over_denominator(values: Mapping, den: int, domain: Domain) -> dict:
     ``Fraction`` per value over Q, one inverse of den over GF(p).  Where p
     divides den, each v/den goes through ``Fraction`` in lowest terms, and
     ``PrimeField.of`` raises if its denominator still vanishes mod p."""
-    if not isinstance(domain, PrimeField):
-        return {e: Fraction(v, den) for e, v in values.items()}
-    p = domain.p
-    if den % p == 0:
-        return {e: domain.of(Fraction(v, den)) for e, v in values.items()}
-    scale = domain.inv(den)
-    return {e: v * scale % p for e, v in values.items()}
+    if isinstance(domain, PrimeField):
+        p = domain.p
+        if den % p == 0:
+            return {e: domain.of(Fraction(v, den)) for e, v in values.items()}
+        scale = domain.inv(den)
+        return {e: v * scale % p for e, v in values.items()}
+    return {e: Fraction(v, den) for e, v in values.items()}
 
 
 def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:

@@ -569,7 +569,9 @@ class TestArcs:
     @pytest.mark.parametrize("domain", [QQ, PrimeField(13)], ids=["QQ", "GF13"])
     def test_on_branch_arcs_lift_in_u(self, domain, K, monkeypatch):
         # The chart components are series in u = t^K, so the lift runs in u
-        # through u^N and the arc is written in t only at the end.
+        # through u^N and the arc is written in t only at the end;
+        # ``_check_on_branch_arc`` checks that they are supported on
+        # multiples of K.
         chart = _chart_through_e0(_ONE_DRAW_FAMILIES[K], domain, seed=1)
         calls = _count_arc_lifts(monkeypatch)
         for N in range(2, 9):
@@ -577,9 +579,6 @@ class TestArcs:
             arc = arc_through_chart_origin(chart, seed=N, order_bound=N)
             assert calls and all(args[3] == N for args, _ in calls)
             assert arc.order_bound == N
-            for name in chart.ring.variables:
-                series = arc.component(name)
-                assert all(c == domain.zero for j, c in enumerate(series.coeffs) if j % K)
             _check_on_branch_arc(chart, arc)
 
     @pytest.mark.parametrize("K, seed, draws", [(2, 9, 2), (2, 13, 3), (3, 403, 2)])

@@ -46,7 +46,7 @@ PARSE_EXPRESSION = (
     " + 1/2*z^2*x - 2/3 - 2*x^2*y*z + (x - 1/2)*(y + 3) - 4*y^2*z"
 )
 PARSE_ARGS = ["parse", PARSE_EXPRESSION, "--vars", "x,y,z"]
-# K = 3: cube roots off the branch, and an on-branch lift at order 3N.
+# K = 3: cube roots off the branch, and an on-branch lift in u = t^3.
 CUBE_CAMPAIGN_ARGS = [
     "campaign", "--family", "5,2,2,3", "--trials", "1",
     "--points-off", "1", "--points-on", "1", "--seed", "7",

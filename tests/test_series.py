@@ -189,50 +189,25 @@ def _denominator_per_piece(j):
         (PrimeField(2), _integral),
         (PrimeField(3), _integral),
         (PrimeField(5), _integral),
+        (PrimeField(7), _integral),
         (GF101, _denominator_per_piece),
     ],
-    ids=["QQ", "QQ-denominators", "GF2", "GF3", "GF5", "GF101"],
+    ids=["QQ", "QQ-denominators", "GF2", "GF3", "GF5", "GF7", "GF101"],
 )
 def test_phi_routes_match_the_defining_identity(domain, scale):
     # The partial root's K-th power must match 1 + Σ w_j through degree N,
     # and the Euler-operator recurrence must agree with the powering
-    # oracle, also where p ≤ N (GF(2) from N = 2, GF(3) from N = 3, GF(5)
-    # from N = 5) and the recurrence runs unreduced.
+    # oracle.  Over GF(p) it reduces mod p while p > N; from N = p on, p
+    # divides d_i for i ≥ p, and it runs on unreduced integers and reduces
+    # each piece through Fractions.
     ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
     p = domain.characteristic
-    for K in (2, 3, 4):
+    for K in range(2, 6):
         if p and K % p == 0:
             continue
-        w = [
-            random_homogeneous(ring, j, 97 * K + j).scale(scale(j))
-            for j in range(1, 5)
-        ]
-        g = ring.one()
-        for piece in w:
-            g = g + piece
-        for N in range(1, 7):
-            phis = phi_polynomials(w, K, N)
-            root = ring.one()
-            for i, phi in enumerate(phis, start=1):
-                assert phi.is_zero() or (phi.is_homogeneous() and phi.degree() == i)
-                root = root + phi
-            assert pow_truncated(root, K, N) == truncate_degree(g, N)
-            assert phis == phi_by_powering(g, K, N)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_phi_recurrence_matches_powering_in_small_characteristic(p):
-    # Every N ≤ 8 for K = 2..5 with p ∤ K: the recurrence reduces mod p
-    # while p > N and runs on unreduced integers from N = p on, where p
-    # divides d_i for i ≥ p and the pieces reduce through Fractions.
-    domain = PrimeField(p)
-    ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
-    for K in range(2, 6):
-        if K % p == 0:
-            continue
-        for seed in range(6):
+        for seed in range(2):
             w = [
-                random_homogeneous(ring, j, 1000 * p + 10 * K + seed + 97 * j)
+                random_homogeneous(ring, j, 97 * K + j + 1000 * seed).scale(scale(j))
                 for j in range(1, 5)
             ]
             g = ring.one()
@@ -240,7 +215,13 @@ def test_phi_recurrence_matches_powering_in_small_characteristic(p):
                 g = g + piece
             expected = phi_by_powering(g, K, 8)
             for N in range(1, 9):
-                assert phi_polynomials(w, K, N) == expected[:N], (K, seed, N)
+                phis = phi_polynomials(w, K, N)
+                assert phis == expected[:N], (K, seed, N)
+                root = ring.one()
+                for i, phi in enumerate(phis, start=1):
+                    assert phi.is_zero() or (phi.is_homogeneous() and phi.degree() == i)
+                    root = root + phi
+                assert pow_truncated(root, K, N) == truncate_degree(g, N)
 
 
 class TestTruncateF:
