@@ -18,10 +18,15 @@ substitution; Schönhage 1982; Harvey 2009, "Faster polynomial
 multiplication via multipoint Kronecker substitution"): a product is one
 big-int product masked to its low slots.  The kernel strips each series'
 t-order, skips the terms of F that vanish mod t^(N+1), and truncates every
-other term at N minus its order.  Over Q the denominators are cleared
-first, so slots are signed; over GF(p) they hold canonical residues and are
-reduced mod p once, when unpacked.  ``_slot_bytes`` states the width that
-keeps every slot exact.
+other term at N minus its order.  Slots are signed; over GF(p) they hold
+canonical residues and are reduced mod p once, when unpacked.
+``_slot_bytes`` states the width that keeps every slot exact.  Over Q each
+image's own denominator is cleared (``_compose_fractional``): the terms are
+grouped by their exponents on the images with denominators, each group is
+composed over the integral images at their narrow width, and the groups
+are combined at the width ``_combine_bytes`` states.  On an off-branch arc
+only the lifted image has denominators, so nearly all the work stays a few
+bytes wide.
 
 Newton lifting (``_newton_lift``, behind ``arc_lift`` and
 ``series_kth_root``) packs the same way over GF(p): its Horner chains run
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (
@@ -363,10 +368,30 @@ def _reaching_terms(terms: Iterable[tuple], orders: Sequence[int], N: int) -> li
     t^(N+1)."""
     out = []
     for exps, c in terms:
-        o = sum(e * v for e, v in zip(exps, orders) if e)
+        o = sum(map(mul, exps, orders))
         if o <= N:
             out.append((exps, c, o))
     return out
+
+
+def _settle(sums: Sequence[int], masks: Sequence[int], width: int, N: int) -> list:
+    """The signed slots 0..N of Σ_o t^o·sums[o], where ``sums[o]`` is packed
+    ``width`` bytes per slot and known only mod t^(N+1−o), that is, masked
+    to its low N + 1 − o slots (``masks[o]``).
+
+    Each sum is reduced to its balanced residue.  Where every slot of the
+    true sum is below 2^(w−1) in absolute value, that residue is exactly
+    the sum's packed value, signed slots and all, because truncation mod
+    2^(w(N+1−o)) is a ring map.  So it is shifted up o slots and added in,
+    with no further mask, and the total is unpacked once.
+    """
+    bits = 8 * width
+    total = 0
+    for o, value in enumerate(sums):
+        if value:
+            half = (masks[o] + 1) >> 1
+            total += (((value + half) & masks[o]) - half) << (bits * o)
+    return _unpack_signed(total, width, N + 1)
 
 
 def _compose_integers(
@@ -375,16 +400,13 @@ def _compose_integers(
     """Coefficients through t^N of Σ c·Π_i z_i(t)^(α_i) over the integers,
     by Kronecker substitution, for ``terms`` (α, c, o) from
     ``_reaching_terms`` and ``images`` z_i of t-order v_i = ``orders[i]``,
-    given by their coefficients 0..N.
+    given by their coefficients 0..N or beyond.
 
     A term of order o only reaches the slots o..N.  It is formed from
     cached powers of the stripped images z_i/t^(v_i), truncated mod
     t^(N+1−o), that is, masked to its low N + 1 − o slots.  Terms of one
-    order are summed, and the sum is reduced to its balanced residue.  With
-    ``_slot_bytes`` wide slots that residue is exactly the sum's packed
-    value, signed slots and all, because truncation mod 2^(w(N+1−o)) is a
-    ring map.  So it is shifted up o slots and added in, with no further
-    mask, and the total is unpacked once.
+    order are summed, and ``_settle`` adds the sums in at their orders:
+    with ``_slot_bytes`` wide slots, every such sum fits.
     """
     if not terms:
         return [0] * (N + 1)
@@ -412,12 +434,106 @@ def _compose_integers(
                     chain.append(chain[-1] * chain[1] & masks[len(chain) * v])
                 term = term * (chain[e] & mask) & mask
         sums[o] += term
-    total = 0
-    for o, value in enumerate(sums):
-        if value:
-            half = (masks[o] + 1) >> 1
-            total += (((value + half) & masks[o]) - half) << (bits * o)
-    return _unpack_signed(total, width, N + 1)
+    return _settle(sums, masks, width, N)
+
+
+def _combine_bytes(groups: int, H: int, S: int, m: int, N: int) -> int:
+    """Bytes per slot that keep the last step of ``_compose_fractional``
+    exact: ``groups`` series with integer slots of absolute value at most
+    H, the group β times Π_j Z_j^(β_j)·D_j^(m_j − β_j), where m_j is the
+    largest β_j, m = Σ_j m_j, and S = Π_j S_j^(m_j) for some S_j at least
+    D_j and every slot of Z_j in absolute value.
+
+    As in ``_slot_bytes``, one slot of a truncated product of e + 1 series
+    is at most (N + 1)^e times the product of their largest slots, and
+    truncating or shifting never raises a slot.  The group β then has
+    slots of at most H·(N + 1)^|β|·Π_j S_j^(β_j)·S_j^(m_j − β_j)
+    ≤ H·(N + 1)^m·S, so every slot of a sum of some of the groups is at
+    most B = groups·H·(N + 1)^m·S.  A width of bit_length(B) bits plus a
+    sign bit holds each such slot.
+    """
+    bound = groups * H * S * (N + 1) ** m
+    return (bound.bit_length() + 1 + 7) // 8
+
+
+def _picker(indices: Sequence[int]):
+    """α ↦ the tuple of α_i for i in ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda exps: (exps[i],)
+    if not indices:
+        return lambda exps: ()
+    return itemgetter(*indices)
+
+
+def _compose_fractional(
+    terms: Sequence[tuple],
+    images: Sequence[Sequence[int]],
+    orders: Sequence[int],
+    dens: Sequence[int],
+    N: int,
+) -> tuple:
+    """(slots, E) with slots/E the coefficients through t^N of
+    Σ c·Π_i z_i^(α_i), for ``terms`` (α, c, o) with integer c and images
+    z_i = Z_i/D_i, given by their integer numerators Z_i and denominators
+    D_i = ``dens[i]``.
+
+    The terms are grouped by their exponents β on the fractional images,
+    those with D_j > 1.  A group is G_β·Π_j z_j^(β_j), where G_β holds the
+    group's terms over the integral images alone, so ``_compose_integers``
+    forms it at the narrow width those images need, truncated at N − o_β
+    for o_β = Σ_j β_j·v_j, the t-order of the group's fractional part.
+    With m_j the largest β_j, the groups are combined as
+    Σ_β G_β·Π_j Z_j^(β_j)·D_j^(m_j − β_j), on cached powers of the stripped
+    Z_j at the width ``_combine_bytes`` states, over E = Π_j D_j^(m_j).
+    """
+    fractional = [i for i, D in enumerate(dens) if D > 1]
+    integral = [i for i, D in enumerate(dens) if D == 1]
+    fractional_part, integral_part = _picker(fractional), _picker(integral)
+    grouped: dict = {}
+    for exps, c, o in terms:
+        grouped.setdefault(fractional_part(exps), []).append((integral_part(exps), c, o))
+    integral_images = [images[i] for i in integral]
+    integral_orders = [orders[i] for i in integral]
+    vs = [orders[j] for j in fractional]
+    groups = []
+    for beta, group in grouped.items():
+        ob = sum(map(mul, beta, vs))
+        if ob:
+            group = [(a, c, o - ob) for a, c, o in group]
+        slots = _compose_integers(group, integral_images, integral_orders, N - ob)
+        if any(slots):
+            groups.append((beta, ob, slots))
+    if not groups:
+        return [0] * (N + 1), 1
+    m = [max(beta[k] for beta, _, _ in groups) for k in range(len(fractional))]
+    S = E = 1
+    for j, mj in zip(fractional, m):
+        S *= max(dens[j], *(abs(x) for x in images[j])) ** mj
+        E *= dens[j] ** mj
+    H = max(abs(x) for _, _, slots in groups for x in slots)
+    width = _combine_bytes(len(groups), H, S, sum(m), N)
+    bits = 8 * width
+    masks = [(1 << (bits * (N + 1 - o))) - 1 for o in range(N + 1)]
+    powers: list = [None] * len(fractional)  # powers[k][e] = (Z_j/t^(v_j))^e
+    sums = [0] * (N + 1)
+    for beta, ob, slots in groups:
+        mask = masks[ob]
+        term = _pack_signed(slots, width)
+        for k, e in enumerate(beta):
+            if e < m[k]:
+                term *= dens[fractional[k]] ** (m[k] - e)
+            if e:
+                v = vs[k]
+                chain = powers[k]
+                if chain is None:
+                    stripped = _pack_signed(images[fractional[k]][v:], width)
+                    chain = powers[k] = [1, stripped & masks[v]]
+                while len(chain) <= e:
+                    chain.append(chain[-1] * chain[1] & masks[len(chain) * v])
+                term = term * (chain[e] & mask) & mask
+        sums[ob] += term & mask
+    return _settle(sums, masks, width, N), E
 
 
 def compose_series(
@@ -425,15 +541,19 @@ def compose_series(
 ) -> TruncatedSeries:
     """F at one series per variable (in ring order), truncated at t^N.
 
-    Every series must be known through t^N and share F's domain.  Both
-    fields run on ``_compose_integers``, which skips every term of F whose
-    t-order exceeds N and truncates each other term at N minus its order.
-    Over GF(p) the coefficients and images are the canonical residues, and
-    each slot is reduced mod p.  Over Q, with D the lcm of the images'
-    denominators, L that of the coefficients of F's terms that reach t^N,
-    and d their largest exponent sum, the term c·z^α becomes
-    L·c·D^(d−|α|)·(D·z)^α: integers throughout, and the result is divided
-    by L·D^d.
+    Every series must be known through t^N and share F's domain.  The
+    kernel skips every term of F whose t-order exceeds N and truncates
+    each other term at N minus its order, on integers in both fields.  With
+    L the lcm of the denominators of the coefficients of the reaching terms
+    and D_i that of image i's, the coefficients become L·c and the images
+    Z_i = D_i·z_i; over GF(p) the canonical residues are their own
+    numerators, and L = D_i = 1.  Where every D_i is 1,
+    ``_compose_integers`` composes all the terms at once.  Otherwise
+    ``_compose_fractional`` groups them by their exponents on the images
+    with D_j > 1, so each image's own denominator is cleared, and the many
+    products over the integral images stay as narrow as those images
+    allow.  The integer result over L·E becomes field elements once
+    (``over_denominator``); over GF(p) each slot is reduced mod p.
     """
     domain = F.ring.domain
     if len(series) != F.ring.nvars:
@@ -446,20 +566,19 @@ def compose_series(
     images = [s.coeffs[: N + 1] for s in series]
     orders = [next((k for k, x in enumerate(z) if x), N + 1) for z in images]
     terms = _reaching_terms(F.terms.items(), orders, N)
-    if isinstance(domain, PrimeField):
-        slots = _compose_integers(terms, images, orders, N)
-        return TruncatedSeries(domain, tuple(x % domain.p for x in slots))
-    D = lcm(*(x.denominator for z in images for x in z))
-    d = max((sum(exps) for exps, _, _ in terms), default=0)
-    L = lcm(*(c.denominator for _, c, _ in terms))
-    terms = [
-        (exps, c.numerator * (L // c.denominator) * D ** (d - sum(exps)), o)
-        for exps, c, o in terms
-    ]
-    images = [[x.numerator * (D // x.denominator) for x in z] for z in images]
-    scale = L * D**d
-    slots = _compose_integers(terms, images, orders, N)
-    return TruncatedSeries(domain, tuple(Fraction(x, scale) for x in slots))
+    if domain.characteristic:  # residues are their own numerators
+        L, dens = 1, [1] * len(images)
+    else:
+        L = lcm(*(c.denominator for _, c, _ in terms))
+        terms = [(exps, c.numerator * (L // c.denominator), o) for exps, c, o in terms]
+        dens = [lcm(*(x.denominator for x in z)) for z in images]
+        images = [[x.numerator * (D // x.denominator) for x in z] for z, D in zip(images, dens)]
+    if terms and any(D > 1 for D in dens):
+        slots, E = _compose_fractional(terms, images, orders, dens, N)
+    else:
+        slots, E = _compose_integers(terms, images, orders, N), 1
+    values = over_denominator(dict(enumerate(slots)), L * E, domain)
+    return TruncatedSeries(domain, tuple(values.values()))
 
 
 def poly_on_series(F: Polynomial, assignment: Mapping[str, TruncatedSeries]) -> TruncatedSeries:

@@ -37,6 +37,7 @@ from cycover.series import (
     series_zero,
     truncate_f,
 )
+import cycover.series as series_module
 from cycover.series import (
     _compose_integers,
     _horner_chains,
@@ -679,6 +680,95 @@ def test_composition_matches_power_caching_oracle(data):
         tail = data.draw(st.lists(_elements(domain), min_size=N + 1 - v, max_size=N + 1 - v))
         images.append(_series(domain, [0] * v + tail))
     assert compose_series(Fpoly, images, N) == compose_by_power_caching(Fpoly, images, N)
+
+
+# Integral images as the arc samplers draw them, and the denominators of
+# fractional ones, from 2 up to a lifted arc's 40 bits and more.
+INTEGRAL = st.integers(-99, 99).map(F)
+DENOMINATORS = st.sampled_from([2, 3, 4, 9, 2**40 + 15, 3**30, 2**61 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mixed_images_match_power_caching_oracle(data):
+    # Four images, 0 to 4 of them fractional on purpose, the others
+    # integral; each image has a random t-order up to N + 1 (zero through
+    # t^N).  Over GF(p) every image is integral, so this is the Q-only case.
+    names = ("a", "b", "c", "d")
+    ring = ring_over(names, QQ)
+    N = data.draw(st.integers(0, 8))
+    degree = data.draw(st.integers(0, 6))
+    exps = st.sampled_from([e for d in range(degree + 1) for e in monomials_of_degree(ring, d)])
+    terms = data.draw(st.dictionaries(exps, SMALL, max_size=12))
+    Fpoly = Polynomial(ring, {e: F(c) for e, c in terms.items()})
+    fractional = data.draw(st.sets(st.sampled_from(range(4)), max_size=4))
+    images = []
+    for i in range(4):
+        v = data.draw(st.integers(0, N + 1))
+        if i in fractional:
+            den = data.draw(DENOMINATORS)
+            tail = [F(a, den) for a in data.draw(
+                st.lists(st.integers(-10**6, 10**6), min_size=N + 1 - v, max_size=N + 1 - v)
+            )]
+        else:
+            tail = data.draw(st.lists(INTEGRAL, min_size=N + 1 - v, max_size=N + 1 - v))
+        images.append(_series(QQ, [0] * v + tail))
+    assert compose_series(Fpoly, images, N) == compose_by_power_caching(Fpoly, images, N)
+
+
+def test_fractional_groups_that_vanish():
+    # a·c − b·c at a = b: the group of c^1 vanishes, and with it the whole
+    # composition; a·c − b·c + c^2 keeps only the group of c^2.
+    ring = ring_over(NAMES3, QQ)
+    a, b, c = ring.gens()
+    z = _series(QQ, [0, 3, -5, 7])
+    s = _series(QQ, [0, F(1, 2**41), F(-3, 7), 0])
+    assert compose_series(a * c - b * c, [z, z, s], 3).is_zero()
+    F2 = a * c - b * c + c**2
+    assert compose_series(F2, [z, z, s], 3) == compose_by_power_caching(F2, [z, z, s], 3)
+
+
+def test_off_branch_composition_stays_as_narrow_as_its_integral_images(monkeypatch):
+    # The shape of an off-branch arc over Q: five integral chart images
+    # drawn from -99..99 and one lifted image whose denominators exceed
+    # 2^40, under a form of degree 6 with every monomial and
+    # denominators in its coefficients (as a localized branch form has).
+    # Clearing one common denominator would scale every slot by it; each
+    # image's own denominator keeps the many products over the integral
+    # images at the width those images alone need.
+    N = 6
+    names = tuple(f"z{i}" for i in range(6))
+    ring = ring_over(names, QQ)
+    rng = Rng(17)
+    images = [_series(QQ, [0] + [rng.int_range(-99, 99) for _ in range(N)]) for _ in range(5)]
+    dens = [2**40 + 15, 3 * 2**41 + 1, 2**44 - 87]
+    images.append(
+        _series(QQ, [0] + [F(rng.int_range(-10**9, 10**9), dens[k % 3]) for k in range(N)])
+    )
+    monomials = [e for d in range(7) for e in monomials_of_degree(ring, d)]
+    Fpoly = Polynomial(
+        ring, {e: F((-1) ** rng.below(2) * (1 + rng.below(99)), 1 + rng.below(6)) for e in monomials}
+    )
+    assert len(Fpoly) == 924 and min(z.order() for z in images) == 1
+    widths = []
+
+    def spy(*args):
+        widths.append(_slot_bytes(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(series_module, "_slot_bytes", spy)
+    composed = compose_series(Fpoly, images, N)
+    L = 60  # lcm of the coefficients' denominators 1..6
+    integral_only = _slot_bytes(
+        len(Fpoly),
+        max(abs(c.numerator) * (L // c.denominator) for c in Fpoly.terms.values()),
+        max(abs(x.numerator) for z in images[:5] for x in z.coeffs),
+        6,
+        N,
+    )
+    assert widths and max(widths) <= integral_only
+    monkeypatch.undo()
+    assert composed == compose_by_power_caching(Fpoly, images, N)
 
 
 @settings(max_examples=80, deadline=None)
