@@ -33,8 +33,10 @@ wrapped freely.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .cover import CoverInstance, require_invertible_cover_degree
@@ -80,62 +82,46 @@ _NUMBER = "number"
 _NAME = "name"
 _END = "end"
 _SYMBOLS = frozenset("+-*/^()")
+_DIGITS = frozenset("0123456789")
+# Characters that start a token; other letters pass ``str.isalpha``.
+_STARTERS = _SYMBOLS | _DIGITS | frozenset(string.ascii_letters + "_")
+# One scan: whitespace (``str.isspace``) is skipped; a number is a run of
+# ASCII digits; a name is a run of \w (``str.isalnum`` or '_'); any other
+# character is a token of its own, which ``_tokenize`` rejects, as it does
+# a \w run that starts with neither a letter nor '_'.
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|[-+*/^()]|\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # _NUMBER, _NAME, _END, or the symbol character itself
-    text: str
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        if self.kind == _END:
-            return "end of input"
-        return f"{self.text!r}"
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, column = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        start_col = column
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token(_NUMBER, text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token(_NAME, text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, start_col))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token(_END, "", line, column))
+def _tokenize(text: str) -> List[str]:
+    """The tokens of ``text``, then "" for the end of input.  A character
+    that starts no token is a syntax error at its line and column."""
+    tokens = _TOKEN.findall(text)
+    for index, token in enumerate(tokens):
+        first = token[0]
+        if first not in _STARTERS and not first.isalpha():
+            line, column = _position(text, index)
+            raise ParseError(f"unexpected character {first!r}", line, column)
+    tokens.append("")
     return tokens
+
+
+def _kind(token: str) -> str:
+    """``_NUMBER``, ``_NAME``, ``_END``, or the symbol itself."""
+    if not token:
+        return _END
+    if token in _SYMBOLS:
+        return token
+    return _NUMBER if token[0] in _DIGITS else _NAME
+
+
+def _position(text: str, index: int) -> Tuple[int, int]:
+    """(line, column), both from 1, of token ``index`` of ``text``; past the
+    last token, of the end of input.  Rescans the text, so it serves
+    messages only."""
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    offset = len(text) if match is None else match.start(1)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 # -- recursive-descent parser --------------------------------------------------
@@ -147,126 +133,141 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], ring: PolyRing):
-        self.tokens = tokens
+    def __init__(self, text: str, ring: PolyRing):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.ring = ring
-        self.variable_index = {name: i for i, name in enumerate(ring.variables)}
+        self.domain = ring.domain
+        self.modulus = ring.domain.characteristic
+        # Only a name token is looked up, so a declared "2" or "+" stays a
+        # number or a symbol.
+        self.variable_index = {
+            name: i for i, name in enumerate(ring.variables) if _kind(name) == _NAME
+        }
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def describe(self, pos: int) -> str:
+        token = self.tokens[pos]
+        return f"{token!r}" if token else "end of input"
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def fail(self, reason: str, pos: int, kind: str = "syntax error"):
+        line, column = _position(self.text, pos)
+        raise ParseError(reason, line, column, kind)
 
-    def fail(self, reason: str, token: _Token, kind: str = "syntax error"):
-        raise ParseError(reason, token.line, token.column, kind)
-
-    def fail_unexpected(self, token: _Token, wanted: str):
-        if token.kind in _ATOM_STARTERS:
+    def fail_unexpected(self, pos: int, wanted: str):
+        if _kind(self.tokens[pos]) in _ATOM_STARTERS:
             self.fail(
-                f"unexpected {token.describe()}; multiplication must be "
+                f"unexpected {self.describe(pos)}; multiplication must be "
                 f"written explicitly with '*'",
-                token,
+                pos,
             )
-        self.fail(f"expected {wanted}, found {token.describe()}", token)
+        self.fail(f"expected {wanted}, found {self.describe(pos)}", pos)
+
+    def expect_number(self, what: str) -> int:
+        """The number at the current token, which is consumed."""
+        if _kind(self.tokens[self.pos]) != _NUMBER:
+            self.fail(f"expected {what}, found {self.describe(self.pos)}", self.pos)
+        self.pos += 1
+        return int(self.tokens[self.pos - 1])
 
     # Sub-expressions are plain {exponents: coefficient} dicts, so a form
     # builds one polynomial, in ``parse_polynomial``, whatever its shape.
 
     def expression(self) -> dict:
-        domain = self.ring.domain
-        total = self.term()
-        while self.peek().kind in ("+", "-"):
-            combine = domain.add if self.advance().kind == "+" else domain.sub
-            for exps, coeff in self.term().items():
-                total[exps] = combine(total.get(exps, domain.zero), coeff)
-        return total
+        total: dict = {}
+        sign = 1
+        while True:
+            self.term(total, sign)
+            token = self.tokens[self.pos]
+            if token == "+":
+                sign = 1
+            elif token == "-":
+                sign = -1
+            else:
+                return total
+            self.pos += 1
 
-    def term(self) -> dict:
-        value = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            value = mul_terms(value, self.factor(), self.ring.domain)
+    def term(self, total: dict, sign: int) -> None:
+        """Add sign times the next term into ``total``.  Its numbers and
+        variable powers collect into one integer fraction and one exponent
+        list, so the term makes one field element; only parenthesised
+        factors are multiplied as term dicts."""
+        domain = self.domain
+        tokens = self.tokens
+        exps = [0] * self.ring.nvars
+        numerator, denominator = sign, 1
+        product = None
+        while True:
+            index = self.variable_index.get(tokens[self.pos])
+            if index is not None:
+                self.pos += 1
+                if tokens[self.pos] == "^":
+                    self.pos += 1
+                    exps[index] += self.expect_number("an exponent after '^'")
+                else:
+                    exps[index] += 1
+            else:
+                kind = _kind(tokens[self.pos])
+                if kind == _NUMBER or kind == "-":
+                    n, d = self.rational()
+                    numerator *= n
+                    denominator *= d
+                elif kind == "(":
+                    value = self.parenthesised()
+                    product = value if product is None else mul_terms(product, value, domain)
+                elif kind == _NAME:
+                    self.fail(f"unknown variable {tokens[self.pos]!r}", self.pos)
+                else:
+                    self.fail_unexpected(self.pos, "a rational, a variable, or '('")
+            if tokens[self.pos] != "*":
+                break
+            self.pos += 1
+        if denominator == 1:
+            coefficient = domain.of(numerator)
+        else:
+            coefficient = domain.of(Fraction(numerator, denominator))
+        monomial = {tuple(exps): coefficient}
+        if product is not None:
+            monomial = mul_terms(monomial, product, domain)
+        for key, value in monomial.items():
+            total[key] = domain.add(total[key], value) if key in total else value
+
+    def parenthesised(self) -> dict:
+        if self.depth == MAX_NESTING:
+            self.fail(f"parentheses nested more than {MAX_NESTING} deep", self.pos)
+        self.pos += 1
+        self.depth += 1
+        value = self.expression()
+        self.depth -= 1
+        if self.tokens[self.pos] != ")":
+            self.fail_unexpected(self.pos, "')'")
+        self.pos += 1
         return value
 
-    def factor(self) -> dict:
-        token = self.peek()
-        if token.kind in ("-", _NUMBER):
-            return self.rational()
-        if token.kind == _NAME:
-            self.advance()
-            index = self.variable_index.get(token.text)
-            if index is None:
-                self.fail(f"unknown variable {token.text!r}", token)
-            power = 1
-            if self.peek().kind == "^":
-                self.advance()
-                exponent = self.peek()
-                if exponent.kind != _NUMBER:
-                    self.fail(
-                        f"expected an exponent after '^', found "
-                        f"{exponent.describe()}",
-                        exponent,
-                    )
-                self.advance()
-                power = int(exponent.text)
-            exps = [0] * self.ring.nvars
-            exps[index] = power
-            return {tuple(exps): self.ring.domain.one}
-        if token.kind == "(":
-            if self.depth == MAX_NESTING:
-                self.fail(f"parentheses nested more than {MAX_NESTING} deep", token)
-            self.advance()
-            self.depth += 1
-            value = self.expression()
-            self.depth -= 1
-            closing = self.peek()
-            if closing.kind != ")":
-                self.fail_unexpected(closing, "')'")
-            self.advance()
-            return value
-        self.fail_unexpected(token, "a rational, a variable, or '('")
-        raise AssertionError("unreachable")
-
-    def rational(self) -> dict:
+    def rational(self) -> Tuple[int, int]:
+        """(numerator, denominator) of a signed rational whose denominator
+        is nonzero in the field."""
         sign = 1
-        token = self.peek()
-        if token.kind == "-":
-            self.advance()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
             sign = -1
-            token = self.peek()
-            if token.kind != _NUMBER:
-                self.fail(
-                    f"expected a number after '-', found {token.describe()}",
-                    token,
-                )
-        numerator_token = self.advance()
-        numerator = sign * int(numerator_token.text)
-        denominator = 1
-        if self.peek().kind == "/":
-            self.advance()
-            denominator_token = self.peek()
-            if denominator_token.kind != _NUMBER:
-                self.fail(
-                    f"expected a denominator after '/', found "
-                    f"{denominator_token.describe()}",
-                    denominator_token,
-                )
-            self.advance()
-            denominator = int(denominator_token.text)
-            if denominator == 0:
-                self.fail(
-                    "zero denominator in rational", denominator_token, _VALUE_ERROR
-                )
-        try:
-            value = self.ring.domain.of(Fraction(numerator, denominator))
-        except ValueError as error:  # the denominator vanishes mod p
-            self.fail(str(error), token, _VALUE_ERROR)
-        return {(0,) * self.ring.nvars: value}
+        start = self.pos
+        numerator = sign * self.expect_number("a number after '-'")
+        if self.tokens[self.pos] != "/":
+            return numerator, 1
+        self.pos += 1
+        denominator = self.expect_number("a denominator after '/'")
+        if denominator == 0:
+            self.fail("zero denominator in rational", self.pos - 1, _VALUE_ERROR)
+        if self.modulus and denominator % self.modulus == 0:
+            value = Fraction(numerator, denominator)
+            try:
+                self.domain.of(value)
+            except ValueError as error:  # the denominator vanishes mod p
+                self.fail(str(error), start, _VALUE_ERROR)
+            return value.numerator, value.denominator
+        return numerator, denominator
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
@@ -275,11 +276,10 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     Raises :class:`ParseError` with line/column on malformed input, unknown
     variables, and zero denominators.  Multiplication is never implicit.
     """
-    parser = _Parser(_tokenize(text), ring)
+    parser = _Parser(text, ring)
     terms = parser.expression()
-    trailing = parser.peek()
-    if trailing.kind != _END:
-        parser.fail_unexpected(trailing, "'+', '-', '*', or end of input")
+    if parser.tokens[parser.pos]:
+        parser.fail_unexpected(parser.pos, "'+', '-', '*', or end of input")
     return Polynomial(ring, terms)
 
 

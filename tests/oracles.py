@@ -21,11 +21,16 @@ library by other means, so a test can compare the two:
   degree on truncated polynomial powers, as against the integer Euler
   recurrence of ``cycover.series.phi_polynomials``;
 * Macaulay matrices built row by row as Python lists, one dict lookup per
-  entry, as against the array scatter of ``cycover.regseq``.
+  entry, as against the array scatter of ``cycover.regseq``;
+* polynomial text tokenized one character at a time, counting lines and
+  columns as it goes, as against the one regex scan of
+  ``cycover.parsing._tokenize``.
 """
 
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence
 
+from cycover.parsing import ParseError
 from cycover.poly import (
     Polynomial,
     PolyRing,
@@ -400,3 +405,62 @@ def macaulay_rows_by_lists(
         for k, degree in enumerate(degrees)
         for shift in monomials_of_degree(ring, cap - degree)
     ]
+
+
+# -- tokens, one character at a time -------------------------------------------
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "number", "name", "end", or the symbol character itself
+    text: str
+    line: int
+    column: int
+
+
+def tokenize_by_characters(text: str) -> List[Token]:
+    """The tokens of a polynomial expression, ending with an "end" token:
+    a loop over characters that counts lines and columns as it goes.  A
+    number is a run of ``str.isdigit`` characters and a name starts with
+    ``str.isalpha`` or '_' and goes on with ``str.isalnum`` or '_'; any
+    other character raises the parser's ``ParseError``."""
+    tokens: List[Token] = []
+    line, column = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        start_col = column
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("number", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("name", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append(Token(ch, ch, line, start_col))
+            column += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(Token("end", "", line, column))
+    return tokens

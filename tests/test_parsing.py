@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from cycover.parsing import (
     InstanceFileError,
     ParseError,
+    _kind,
+    _position,
+    _tokenize,
     parse_instance_file,
     parse_polynomial,
 )
 from cycover.poly import QQ, Polynomial, PrimeField, random_homogeneous, ring_over
 from cycover.seeds import derive_seed
 from helpers import default_instance_text
+from oracles import tokenize_by_characters
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +138,68 @@ class TestGrammarErrors:
     def test_negative_exponent_rejected(self, ring):
         with pytest.raises(ParseError, match="exponent"):
             parse_polynomial("x0^-2", ring)
+
+    @pytest.mark.parametrize(
+        "text, digit, column",
+        [("x0^²", "²", 4), ("x0^٣ + ١", "٣", 4), ("x0 + ١", "١", 6), ("2١*x0", "١", 2)],
+    )
+    def test_numbers_take_ascii_digits_only(self, ring, text, digit, column):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, ring)
+        assert str(exc.value) == (
+            f"syntax error at line 1, column {column}: unexpected character {digit!r}"
+        )
+
+    def test_undeclared_non_ascii_name_is_unknown(self, ring):
+        for name in ("é", "x0²", "Ω_1"):
+            with pytest.raises(ParseError, match=f"unknown variable {name!r}") as exc:
+                parse_polynomial(f"x1 + {name}", ring)
+            assert (exc.value.line, exc.value.column) == (1, 6)
+
+    def test_declared_non_ascii_name_parses(self):
+        ring = ring_over(("é", "x²"), QQ)
+        assert parse_polynomial("é^2*x² - x²", ring).text() == "é^2*x² - x²"
+
+
+# The fuzz alphabet of the tokenizer tests: ASCII digits and letters, '_',
+# the operators, whitespace, '#' (a comment only in instance files), and
+# letters and digits outside ASCII.
+NON_ASCII_DIGITS = "²٣१"
+TOKEN_ALPHABET = "0123456789abxyzXY_+-*/^() \t\n#éΩß" + NON_ASCII_DIGITS
+
+
+def _scan(tokenize, text):
+    """(kind, text, line, column) per token, or the ParseError's reason,
+    line and column."""
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ParseError as error:
+        return (error.reason, error.line, error.column)
+
+
+def _regex_tokens(text):
+    tokens = _tokenize(text)
+    return [(_kind(t), t, *_position(text, k)) for k, t in enumerate(tokens)]
+
+
+def _loop_tokens(text):
+    return [(t.kind, t.text, t.line, t.column) for t in tokenize_by_characters(text)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=40))
+def test_regex_tokenizer_matches_character_loop(text):
+    new, old = _scan(_regex_tokens, text), _scan(_loop_tokens, text)
+    if new == old:
+        return
+    # The one difference by design: numbers take ASCII digits only.  Where
+    # the character loop read a digit outside ASCII into a number, the scan
+    # stops at that digit.
+    assert any(digit in text for digit in NON_ASCII_DIGITS)
+    reason, line, column = new
+    digit = text.split("\n")[line - 1][column - 1]
+    assert digit in NON_ASCII_DIGITS
+    assert reason == f"unexpected character {digit!r}"
 
 
 class TestRoundTrip:
