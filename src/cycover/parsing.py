@@ -7,13 +7,16 @@ Polynomial grammar (whitespace is insignificant everywhere)::
     factor     := rational | variable ('^' natural)? | '(' expression ')'
     rational   := integer ('/' natural)?
 
-Multiplication is always explicit: ``2x0`` and ``x0 x1`` are syntax errors,
-not products.  Parentheses nest at most ``MAX_NESTING`` levels deep; deeper
-nesting is a syntax error rather than a recursion overflow.  Variables must
-be declared by the surrounding ring; an undeclared name is rejected with its
-position.  Parsing collects terms into the canonical sparse form, so
-``x0 + x0`` parses to the polynomial printed as ``2*x0`` and
-parse/print/parse is the identity on canonical text.
+Numbers (``integer``, ``natural``) are runs of the ASCII digits 0-9; any
+other digit, such as '²' or '٣', is an unexpected character.  A variable
+name is a run of letters, digits and '_' (``str.isalnum``) that starts with
+a letter or '_'.  Multiplication is always explicit: ``2x0`` and ``x0 x1``
+are syntax errors, not products.  Parentheses nest at most ``MAX_NESTING``
+levels deep; deeper nesting is a syntax error rather than a recursion
+overflow.  Variables must be declared by the surrounding ring; an
+undeclared name is rejected with its position.  Parsing collects terms into
+the canonical sparse form, so ``x0 + x0`` parses to the polynomial printed
+as ``2*x0`` and parse/print/parse is the identity on canonical text.
 
 Instance files are line-oriented ``key = value`` bindings.  Recognized keys:
 

@@ -168,6 +168,15 @@ class TestSeriesAndParse:
         assert code == cli.EXIT_INPUT_ERROR
         assert "line 1, column 2" in err
 
+    def test_parse_non_ascii_digit_is_a_syntax_error(self, capsys):
+        # Numbers take ASCII digits only: a superscript or Arabic-Indic digit
+        # is an unexpected character at its line and column, not a number.
+        for expression in ("x0^²", "x0^٣ + ١"):
+            code, out, err = run_cli(["parse", expression, "--vars", "x0"], capsys)
+            assert code == cli.EXIT_INPUT_ERROR
+            assert out == ""
+            assert f"syntax error at line 1, column 4: unexpected character {expression[3]!r}" in err
+
     def test_parse_value_error_is_not_a_syntax_error(self, capsys):
         # Well formed, but 1/13 has no value in GF(13).
         code, _, err = run_cli(
