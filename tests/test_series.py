@@ -39,6 +39,7 @@ from cycover.series import (
 )
 import cycover.series as series_module
 from cycover.series import (
+    _combine_bytes,
     _compose_integers,
     _horner_chains,
     _newton_bytes,
@@ -714,6 +715,22 @@ def test_mixed_images_match_power_caching_oracle(data):
             tail = data.draw(st.lists(INTEGRAL, min_size=N + 1 - v, max_size=N + 1 - v))
         images.append(_series(QQ, [0] * v + tail))
     assert compose_series(Fpoly, images, N) == compose_by_power_caching(Fpoly, images, N)
+
+
+def test_combination_width_worst_case():
+    # F = C·x·s with x = a + a·t + ⋯ integral and s = (A + A·t + ⋯)/D, A > D:
+    # one group, G = C·a·(1 + t + ⋯), whose product with D·s has slot N
+    # equal to the ``_combine_bytes`` bound B = (N + 1)·C·a·A; N is chosen
+    # so that B fills its bytes, so a width without the sign bit fails.
+    a, C, A, D = 97, 3**20, 2**40 + 15, 2**40
+    N = next(N for N in range(1, 600) if ((N + 1) * C * a * A).bit_length() % 8 == 0)
+    bound = (N + 1) * C * a * A
+    assert _combine_bytes(1, C * a, A, 1, N) == (bound.bit_length() + 8) // 8
+    ring = ring_over(("x", "s"), QQ)
+    x, s = ring.gens()
+    images = [_series(QQ, [a] * (N + 1)), _series(QQ, [F(A, D)] * (N + 1))]
+    composed = compose_series((x * s).scale(C), images, N)
+    assert composed.coeffs == tuple(F((k + 1) * C * a * A, D) for k in range(N + 1))
 
 
 def test_fractional_groups_that_vanish():
