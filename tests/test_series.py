@@ -20,6 +20,7 @@ from cycover.poly import (
     vanishing_order,
 )
 from cycover.seeds import Rng
+import cycover.series as series_module
 from cycover.series import (
     Arc,
     GammaTable,
@@ -37,7 +38,6 @@ from cycover.series import (
     series_zero,
     truncate_f,
 )
-import cycover.series as series_module
 from cycover.series import (
     _combine_bytes,
     _compose_integers,
@@ -784,7 +784,6 @@ def test_off_branch_composition_stays_as_narrow_as_its_integral_images(monkeypat
         N,
     )
     assert widths and max(widths) <= integral_only
-    monkeypatch.undo()
     assert composed == compose_by_power_caching(Fpoly, images, N)
 
 
