@@ -76,6 +76,7 @@ from .parsing import (
     InstanceDocument,
     InstanceFileError,
     ParseError,
+    is_variable_name,
     parse_instance_file,
     parse_polynomial,
     read_instance_path,
@@ -848,6 +849,9 @@ def handle_parse(args) -> Tuple[ReportDocument, int]:
     names = tuple(args.vars.replace(",", " ").split())
     if not names:
         raise ValueError("--vars needs at least one variable name")
+    for name in names:
+        if not is_variable_name(name):
+            raise ValueError(f"invalid variable name {name!r} in --vars")
     domain = PrimeField(args.prime) if args.prime else QQ
     ring = ring_over(names, domain)
     value = parse_polynomial(args.expression, ring)

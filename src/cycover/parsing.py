@@ -50,6 +50,7 @@ __all__ = [
     "ParseError",
     "InstanceFileError",
     "InstanceDocument",
+    "is_variable_name",
     "parse_polynomial",
     "parse_instance_file",
     "read_instance_path",
@@ -294,6 +295,12 @@ _SCALAR_KEYS = ("M", "m", "l", "K", "prime", "seed", "vars")
 _GENERALIZED_KEY = re.compile(r"^g([0-9]+)$")
 
 
+def is_variable_name(name: str) -> bool:
+    """Whether ``name`` may name a variable: an ASCII letter or underscore,
+    then ASCII letters, digits and underscores."""
+    return _NAME_TOKEN.match(name) is not None
+
+
 @dataclass(frozen=True)
 class InstanceDocument:
     """A fully validated instance file: family, forms, and file metadata."""
@@ -371,7 +378,7 @@ def _variable_names(bindings, family: CoverFamily) -> Tuple[str, ...]:
     value, line = bindings["vars"]
     names = tuple(value.replace(",", " ").split())
     for name in names:
-        if not _NAME_TOKEN.match(name):
+        if not is_variable_name(name):
             raise InstanceFileError(f"invalid variable name {name!r}", line)
     if len(set(names)) != len(names):
         raise InstanceFileError("variable names must be distinct", line)

@@ -5,8 +5,10 @@ vanishing at the origin a regular sequence in the local ring at the origin?
 The test is geometric.  For a prefix of length i in n variables, the prefix
 ideal is intersected with n - i random linear cuts through the origin; the
 prefix is certified when the origin is an isolated point of the resulting
-zero set.  Isolation is a sound proof (no probabilistic element).  When
-every cut draw fails, the dimension of the prefix's zero set decides: the
+zero set.  Isolation is a sound proof (no probabilistic element).  The
+whole sequence is tried first: its certificate certifies every prefix, and
+the prefixes get cuts of their own only when it fails.  When every cut
+draw of a prefix fails, the dimension of its zero set decides: the
 expected one certifies the prefix, a larger one refutes it, both as proofs.
 
 Isolation is certified for homogeneous sequences, the only kind the
@@ -323,7 +325,8 @@ class RegularityVerdict:
     """Outcome of the prefix-by-prefix regularity test.
 
     A CertifiedRegular outcome is a proof: every prefix passed a sound
-    isolation certificate, or its zero set has the expected dimension.
+    isolation certificate, or its zero set has the expected dimension, or
+    a longer prefix's certificate implies it (a record with no trials).
     RefutedAtPrefix(i) says that every cut draw failed for prefix i; it is
     a proof when the prefix's local dimension is known (it exceeds the
     expected one) and Monte-Carlo evidence when the Groebner budget ran out
@@ -342,6 +345,20 @@ class RegularityVerdict:
         if self.outcome == CERTIFIED_REGULAR:
             if any(not record.certified for record in self.evidence):
                 raise ValueError("certification requires every prefix certified")
+        for record in self.evidence:
+            if record.trials:
+                continue
+            implied = record.certified and any(
+                longer.prefix > record.prefix
+                and longer.trials
+                and longer.trials[-1].certified
+                for longer in self.evidence
+            )
+            if not implied:
+                raise ValueError(
+                    f"prefix {record.prefix} has no cut draw, and no longer "
+                    "prefix's certificate implies it"
+                )
 
     @property
     def certified(self) -> bool:
@@ -657,17 +674,29 @@ def regular_at_origin(
 ) -> RegularityVerdict:
     """Certify or refute that a homogeneous sequence is regular at the origin.
 
-    With n the number of ring variables, for each prefix of length i draws
-    n - i random linear cuts through the origin and certifies the prefix
-    when the origin is isolated in the combined zero set (then the local
-    dimension is exactly n - i).  A prefix that fails ``trials`` independent
-    draws is decided by the dimension of its zero set, computed within
-    ``budget`` Groebner pair reductions.  Dimension n - i means height i,
-    and homogeneous forms whose ideal has height i are a regular sequence
-    in the Cohen–Macaulay ring k[z] (Matsumura, Commutative Ring Theory,
-    Thm 17.4), so the prefix is certified and the walk goes on.  A larger
-    dimension proves the prefix is not regular.  Only when the budget runs
-    out is the refutation Monte-Carlo evidence.
+    With n the number of ring variables, a prefix of length i is drawn
+    n - i random linear cuts through the origin, up to ``trials`` times,
+    and is certified when the origin is isolated in the combined zero set
+    (then the local dimension is exactly n - i).  A prefix with no cuts
+    (i = n) is drawn once, as every draw would rank the same matrix.
+
+    The whole sequence, of length r, is drawn first.  When a draw
+    certifies it, its r forms and n - r cuts are n homogeneous forms whose
+    only common zero is the origin: a homogeneous system of parameters,
+    hence a regular sequence in the Cohen–Macaulay ring k[z] (Matsumura,
+    Commutative Ring Theory, Thm 17.4), and so is every prefix of it.
+    Prefixes 1..r-1 are then recorded as certified with no draws of their
+    own.  Only when every draw of the whole sequence fails are prefixes
+    1..r-1 walked in order, each with its own draws; prefix r is then
+    decided from the draws already made.
+
+    A prefix that fails its draws is decided by the dimension of its zero
+    set, computed within ``budget`` Groebner pair reductions.  Dimension
+    n - i means height i, and homogeneous forms whose ideal has height i
+    are a regular sequence (Thm 17.4 again), so the prefix is certified and
+    the walk goes on.  A larger dimension proves the prefix is not
+    regular.  Only when the budget runs out is the refutation Monte-Carlo
+    evidence.
     """
     if not sequence:
         raise ValueError("empty sequence")
@@ -693,14 +722,12 @@ def regular_at_origin(
     if trials < 1:
         raise ValueError("at least one trial required")
 
-    evidence = []
-    by_dimension = []  # prefixes the cuts missed and the dimension certified
-    for i in range(1, len(sequence) + 1):
+    def draw(i: int) -> tuple:
+        # Prefix i's draws up to the first that certifies.  A prefix with
+        # no cuts builds the same matrix at every draw.
         prefix = list(sequence[:i])
-        expected = n - i
         records = []
-        certified = False
-        for trial in range(1, trials + 1):
+        for trial in range(1, (trials if i < n else 1) + 1):
             cut_seed = derive_seed(seed, trial=trial, point=i, purpose=PURPOSE_LINEAR_CUTS)
             cuts = random_linear_cuts(ring, n - i, cut_seed)
             ok = _certify_isolated_homogeneous(prefix + cuts, ring)
@@ -708,22 +735,35 @@ def regular_at_origin(
                 CutTrial(prefix=i, trial=trial, cut_seed=cut_seed, certified=ok)
             )
             if ok:
-                certified = True
                 break
-        if certified:
+        return tuple(records)
+
+    r = len(sequence)
+    whole = draw(r)
+    evidence = []
+    by_dimension = []  # prefixes the cuts missed and the dimension certified
+    for i in range(1, r + 1):
+        expected = n - i
+        if i == r:
+            records = whole
+        elif whole[-1].certified:
+            records = ()  # implied by the whole sequence's certificate
+        else:
+            records = draw(i)
+        if not records or records[-1].certified:
             evidence.append(
                 PrefixEvidence(
                     prefix=i,
                     certified=True,
                     expected_dimension=expected,
-                    trials=tuple(records),
+                    trials=records,
                 )
             )
             continue
         # Every draw failed: decide by the local dimension when affordable.
         try:
             local_dimension = ideal_dimension(
-                IdealPresentation(ring, tuple(prefix)), budget
+                IdealPresentation(ring, tuple(sequence[:i])), budget
             )
         except BudgetExceededError:
             local_dimension = None
@@ -731,7 +771,7 @@ def regular_at_origin(
             prefix=i,
             certified=local_dimension == expected,
             expected_dimension=expected,
-            trials=tuple(records),
+            trials=records,
             local_dimension=local_dimension,
         )
         evidence.append(record)

@@ -163,6 +163,17 @@ class TestSeriesAndParse:
         assert code == cli.EXIT_CERTIFIED
         assert json.loads(out)["summary"]["canonical"] == "2*x0"
 
+    def test_parse_rejects_names_no_expression_can_use(self, capsys):
+        # --vars follows the instance files' name rule.
+        for names, bad in (("x,+", "+"), ("2,x", "2"), ("x,1x", "1x")):
+            code, out, err = run_cli(["parse", "x + 2", "--vars", names], capsys)
+            assert code == cli.EXIT_INPUT_ERROR
+            assert out == ""
+            assert f"error: invalid variable name {bad!r} in --vars" in err
+        code, out, _ = run_cli(["parse", "x + 2", "--vars", "x,_y2"], capsys)
+        assert code == cli.EXIT_CERTIFIED
+        assert json.loads(out)["options"]["vars"] == ["x", "_y2"]
+
     def test_parse_syntax_error_exits_2(self, capsys):
         code, _, err = run_cli(["parse", "2x0", "--vars", "x0"], capsys)
         assert code == cli.EXIT_INPUT_ERROR

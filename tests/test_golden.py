@@ -168,6 +168,38 @@ def test_fixed_instance_campaign_parses_its_file_at_most_three_times(
     assert 1 <= len(texts) <= 3
 
 
+@pytest.mark.parametrize(
+    "name", ["campaign-5422-seed7.json", "campaign-5422-p5-seed1.json"]
+)
+def test_sampled_sequences_certify_every_prefix_on_its_own(name, tmp_path, monkeypatch):
+    # A certified whole sequence certifies its prefixes with no draws of
+    # their own (a homogeneous system of parameters is a regular sequence,
+    # and so is each prefix): each prefix, checked as a sequence of its
+    # own, must be certified too.
+    from cycover.regseq import regular_at_origin
+
+    checked = []
+    original = cli.verify_regularity
+
+    def recording(case, **options):
+        verdict = original(case, **options)
+        checked.append((case.members, options, verdict))
+        return verdict
+
+    monkeypatch.setattr(cli, "verify_regularity", recording)
+    assert stripped_report(name, tmp_path) == (DATA / name).read_text()
+    assert checked
+    for members, options, verdict in checked:
+        assert verdict.certified
+        for i in range(1, len(members)):
+            alone = regular_at_origin(
+                list(members[:i]), trials=options["trials"], seed=options["seed"]
+            )
+            assert alone.certified, (i, alone.message)
+        implied = [record.prefix for record in verdict.evidence if not record.trials]
+        assert implied in ([], list(range(1, len(members))))
+
+
 def main(names) -> int:
     unknown = [name for name in names if name not in GOLDEN]
     if not names or unknown:

@@ -20,8 +20,11 @@ from cycover.poly import PrimeField, QQ, random_homogeneous, ring_over
 from cycover.regseq import (
     BudgetExceededError,
     CERTIFIED_REGULAR,
+    CutTrial,
+    PrefixEvidence,
     RANK_CHECK_PRIME,
     REFUTED_AT_PREFIX,
+    RegularityVerdict,
     _certify_isolated_homogeneous,
     _has_full_column_rank,
     _linear_images,
@@ -338,27 +341,115 @@ class TestRegularAtOrigin:
 
     def test_prefixes_certified_by_their_dimension(self):
         # Over GF(2) every linear form vanishes on a line spanned by a
-        # GF(2) vector, and z1*z2*(z1 + z2) vanishes on every such line, so
-        # no cut draw isolates the origin for prefixes 1 and 2.  Their zero
-        # sets still have the expected dimensions 2 and 1 (heights 1 and 2),
-        # so both are regular (Matsumura, Thm 17.4) and the walk goes on to
-        # prefix 3, which the rank certificate isolates without cuts.
+        # GF(2) vector, and z1*z2*(z1 + z2) vanishes on every such line in
+        # the plane z3 = 0, so no cut draw isolates the origin, neither for
+        # the whole sequence nor for prefix 1.  Their zero sets still have
+        # the expected dimensions 1 and 2 (heights 2 and 1), so both are
+        # regular (Matsumura, Thm 17.4): the walk runs, and prefix 2 is
+        # decided from the whole sequence's draws, not drawn again.
+        ring = ring_over(("z1", "z2", "z3"), PrimeField(2))
+        z1, z2, z3 = ring.gens()
+        sequence = [z1 * z2 * (z1 + z2), z3]
+        with mock.patch.object(
+            regseq, "_certify_isolated_homogeneous", wraps=_certify_isolated_homogeneous
+        ) as certify:
+            verdict = regular_at_origin(sequence, seed=3)
+        assert verdict.outcome == CERTIFIED_REGULAR
+        first, second = verdict.evidence
+        for record, dimension in ((first, 2), (second, 1)):
+            assert record.certified and record.local_dimension == dimension
+            assert len(record.trials) == 5
+            assert not any(trial.certified for trial in record.trials)
+            assert {trial.prefix for trial in record.trials} == {record.prefix}
+        # Five draws of the whole sequence first, then five of prefix 1.
+        assert certify.call_count == 10
+        assert verdict.message == (
+            "prefix 1 certified by its local dimension 2 (5 generic cuts failed); "
+            "prefix 2 certified by its local dimension 1 (5 generic cuts failed)"
+        )
+
+    def test_whole_sequence_certifies_every_prefix(self):
+        # The same two forms and a third, which together cut out only the
+        # origin: the whole sequence needs no cuts, its one draw certifies
+        # it, and prefixes 1 and 2 follow (Matsumura, Thm 17.4) with no
+        # draws of their own, though no cut would isolate either of them.
         ring = ring_over(("z1", "z2", "z3"), PrimeField(2))
         z1, z2, z3 = ring.gens()
         sequence = [z1 * z2 * (z1 + z2), z3, z1**2 + z1 * z2 + z2**2]
         verdict = regular_at_origin(sequence, seed=3)
         assert verdict.outcome == CERTIFIED_REGULAR
         first, second, third = verdict.evidence
-        for record, dimension in ((first, 2), (second, 1)):
-            assert record.certified and record.local_dimension == dimension
-            assert len(record.trials) == 5
-            assert not any(trial.certified for trial in record.trials)
+        for record in (first, second):
+            assert record.certified and record.trials == ()
+            assert record.local_dimension is None
         assert third.certified and third.local_dimension is None
-        assert [trial.certified for trial in third.trials] == [True]
-        assert verdict.message == (
-            "prefix 1 certified by its local dimension 2 (5 generic cuts failed); "
-            "prefix 2 certified by its local dimension 1 (5 generic cuts failed)"
+        assert [(t.prefix, t.trial, t.certified) for t in third.trials] == [
+            (3, 1, True)
+        ]
+        assert third.trials[0].cut_seed == derive_seed(
+            3, trial=1, point=3, purpose=regseq.PURPOSE_LINEAR_CUTS
         )
+        assert verdict.message == ""
+
+    def test_prefix_without_cuts_is_drawn_once(self):
+        # Three forms in three variables that all vanish on the z1 axis.
+        # The whole sequence has no cuts, so every draw would rank the same
+        # matrix: it is drawn once, and its refutation still names the
+        # trial count in its message.
+        z1, z2, z3 = R3.gens()
+        with mock.patch.object(
+            regseq, "_certify_isolated_homogeneous", wraps=_certify_isolated_homogeneous
+        ) as certify:
+            verdict = regular_at_origin([z2, z3, z1 * z2 + z1 * z3], seed=5)
+        assert verdict.outcome == REFUTED_AT_PREFIX
+        assert verdict.refuted_prefix == 3
+        first, second, top = verdict.evidence
+        assert first.certified and second.certified
+        assert [(t.prefix, t.trial, t.certified) for t in top.trials] == [
+            (3, 1, False)
+        ]
+        assert certify.call_count == 1 + len(first.trials) + len(second.trials)
+        assert verdict.message == (
+            "prefix 3: local dimension 1, expected 0; proved by the dimension, "
+            "height 2 < 3 (5 generic cuts failed)"
+        )
+
+    def test_prefix_records_without_trials_must_be_implied(self):
+        # A record with no draws is a proof only when it is certified and a
+        # longer prefix's last draw certified.
+        def evidence(prefix, trials, certified=True):
+            return PrefixEvidence(
+                prefix=prefix,
+                certified=certified,
+                expected_dimension=3 - prefix,
+                trials=tuple(
+                    CutTrial(prefix=prefix, trial=k + 1, cut_seed=k, certified=ok)
+                    for k, ok in enumerate(trials)
+                ),
+                local_dimension=None if not trials or trials[-1] else 3 - prefix,
+            )
+
+        implied = evidence(1, ())
+        RegularityVerdict(
+            CERTIFIED_REGULAR, 5, (implied, evidence(2, (False, True)))
+        )
+        unsupported = [
+            # the longer prefix was certified by its dimension, not a draw
+            (implied, evidence(2, (False,) * 5)),
+            # nothing longer at all
+            (evidence(1, (True,)), evidence(2, ())),
+        ]
+        for records in unsupported:
+            with pytest.raises(ValueError, match="no cut draw"):
+                RegularityVerdict(CERTIFIED_REGULAR, 5, records)
+        # An uncertified record with no draws is never implied.
+        with pytest.raises(ValueError, match="no cut draw"):
+            RegularityVerdict(
+                REFUTED_AT_PREFIX,
+                5,
+                (evidence(1, (), certified=False), evidence(2, (True,))),
+                refuted_prefix=1,
+            )
 
     def test_monomial_pair_refuted_with_dimensions(self):
         z1, z2, z3 = R3.gens()
