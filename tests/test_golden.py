@@ -200,6 +200,29 @@ def test_sampled_sequences_certify_every_prefix_on_its_own(name, tmp_path, monke
         assert implied in ([], list(range(1, len(members))))
 
 
+def test_refuted_campaign_draws_its_zero_cut_prefix_once(tmp_path, monkeypatch):
+    # The refuted on-branch sequence has as many members as variables, so
+    # its top prefix gets no cuts and every draw would rank one matrix.
+    from cycover import regseq
+
+    draws = []
+    original = regseq._certify_isolated_homogeneous
+
+    def counting(gens, ring):
+        decision = original(gens, ring)
+        draws.append(decision)
+        return decision
+
+    monkeypatch.setattr(regseq, "_certify_isolated_homogeneous", counting)
+    name = "campaign-5422-p17-seed5.json"
+    assert stripped_report(name, tmp_path) == (DATA / name).read_text()
+    # Each of the three certified sequences takes one draw of its whole;
+    # the refuted one takes its single zero-cut draw and one for each of
+    # its five shorter prefixes.  Walking every prefix, with five draws for
+    # the zero-cut one, took 29.
+    assert len(draws) == 9
+
+
 def main(names) -> int:
     unknown = [name for name in names if name not in GOLDEN]
     if not names or unknown:
