@@ -966,7 +966,7 @@ def handle_campaign(args) -> Tuple[ReportDocument, int]:
         document = read_instance_path(args.file)
         instance_text = document.source_text
         family = document.family
-        file_prime = document.prime
+        _, prime = _resolve_field_instance(document, args.prime, True)
     else:
         pieces = args.family.split(",")
         if len(pieces) != 4:
@@ -976,10 +976,7 @@ def handle_campaign(args) -> Tuple[ReportDocument, int]:
         except ValueError:
             raise ValueError("--family needs four integers: M,m,l,K") from None
         family = validate_family(*numbers)
-        file_prime = None
-    prime = args.prime if args.prime is not None else file_prime
-    if prime is None:
-        prime = default_prime(family)
+        prime = args.prime if args.prime is not None else default_prime(family)
     config = CampaignConfig(
         family=family,
         prime=prime,

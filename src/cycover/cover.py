@@ -730,21 +730,25 @@ def _random_small_series(domain, rng: Rng, N: int) -> TruncatedSeries:
     )
 
 
-def _arc_off_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
-    fam = chart.family
-    domain = chart.domain
-    zring = chart.ring
-    solved = _solved_variable(chart.base_piece(1))
-    rng = Rng(derive_seed(seed, purpose=PURPOSE_ARC))
+def _arc_components(chart: ChartLocalization, solved: int, rng: Rng, N: int) -> dict:
+    """Chart components of an arc through the origin, by variable name: a
+    random series from ``rng`` for each variable but ``solved``, drawn in
+    variable order, and for ``solved`` the series ``arc_lift`` finds on the
+    localized base form."""
+    variables = chart.ring.variables
     free = {
-        i: _random_small_series(domain, rng, N)
-        for i in range(zring.nvars)
+        i: _random_small_series(chart.domain, rng, N)
+        for i in range(len(variables))
         if i != solved
     }
     lifted = arc_lift(chart.localized_base, solved, free, N)
-    components = {}
-    for i, name in enumerate(zring.variables):
-        components[name] = lifted if i == solved else free[i]
+    return {name: lifted if i == solved else free[i] for i, name in enumerate(variables)}
+
+
+def _arc_off_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
+    fam = chart.family
+    solved = _solved_variable(chart.base_piece(1))
+    components = _arc_components(chart, solved, Rng(derive_seed(seed, purpose=PURPOSE_ARC)), N)
     composed_branch = poly_on_series(chart.localized_branch, components)
     y = series_kth_root(composed_branch, fam.cover_degree)
     base_residual = poly_on_series(chart.localized_base, components)
@@ -788,19 +792,10 @@ def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
     fam = chart.family
     K = fam.cover_degree
     domain = chart.domain
-    zring = chart.ring
     solved = _solved_variable(chart.base_piece(1))
     for attempt in range(64):
         rng = Rng(derive_seed(seed, trial=attempt, purpose=PURPOSE_ARC))
-        free = {
-            i: _random_small_series(domain, rng, N)
-            for i in range(zring.nvars)
-            if i != solved
-        }
-        lifted = arc_lift(chart.localized_base, solved, free, N)
-        components = {}
-        for i, name in enumerate(zring.variables):
-            components[name] = lifted if i == solved else free[i]
+        components = _arc_components(chart, solved, rng, N)
         composed_branch = poly_on_series(chart.localized_branch, components)
         shift = composed_branch.order()
         if shift is None:

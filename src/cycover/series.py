@@ -29,15 +29,16 @@ only the lifted image has denominators, so nearly all the work stays a few
 bytes wide.
 
 Newton lifting (``_newton_lift``, behind ``arc_lift`` and
-``series_kth_root``) packs the same way over GF(p): its Horner chains run
-on unreduced slots as wide as ``_newton_bytes`` states, and only the
-residual and the slope are unpacked, once per step.
+``series_kth_root``) runs one packed kernel in both fields too: its Horner
+chains run on signed slots as wide as ``_newton_bytes`` states, and only
+the residual and the slope are unpacked, once per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -45,7 +46,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .poly import (
     Domain,
     Polynomial,
-    PrimeField,
     integer_numerators,
     over_denominator,
 )
@@ -298,7 +298,7 @@ def series_kth_root(c: TruncatedSeries, K: int) -> TruncatedSeries:
     r = 1 + s, where s(0) = 0 is the Newton lift of (1 + s)^K − c: the
     coefficients of s^k are C(K, k) for k ≥ 1 and 1 − c for k = 0, and the
     slope at s = 0 is K, invertible wherever K is accepted.  The lift runs
-    on ``_newton_lift``, packed over GF(p), in every characteristic.
+    on the packed ``_newton_lift`` in every field and characteristic.
     """
     domain = c.domain
     if c[0] != domain.one:
@@ -338,11 +338,7 @@ def _slot_bytes(T: int, C: int, A: int, d: int, N: int) -> int:
     return (bound.bit_length() + 1 + 7) // 8
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Coefficients in [0, 2^(8·width)) as one int, ``width`` bytes per slot."""
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
-
-
+@lru_cache(maxsize=256)
 def _bias(width: int, slots: int) -> int:
     """2^(w−1) in each of ``slots`` slots of w = 8·width bits."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
@@ -351,7 +347,8 @@ def _bias(width: int, slots: int) -> int:
 def _pack_signed(coeffs: Sequence[int], width: int) -> int:
     """Σ c_k·2^(wk) for signed c_k with |c_k| < 2^(w−1), w = 8·width."""
     half = 1 << (8 * width - 1)
-    return _pack([c + half for c in coeffs], width) - _bias(width, len(coeffs))
+    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
 
 
 def _unpack_signed(value: int, width: int, slots: int) -> list:
@@ -389,9 +386,14 @@ def _settle(sums: Sequence[int], masks: Sequence[int], width: int, N: int) -> li
     total = 0
     for o, value in enumerate(sums):
         if value:
-            half = (masks[o] + 1) >> 1
-            total += (((value + half) & masks[o]) - half) << (bits * o)
+            total += _balanced(value, masks[o]) << (bits * o)
     return _unpack_signed(total, width, N + 1)
+
+
+def _balanced(value: int, mask: int) -> int:
+    """value mod ``mask`` + 1, a power of two, as a residue balanced about 0."""
+    half = (mask + 1) >> 1
+    return ((value + half) & mask) - half
 
 
 def _compose_integers(
@@ -689,9 +691,9 @@ def arc_lift(
 
     F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k composed
     with the free series once by ``compose_series``; ``_newton_lift`` then
-    solves Σ_k c_k·s^k = 0, over GF(p) on packed ints.  Requires the origin
-    to lie on {F = 0} (c_0(0) = 0) with the solved direction transverse
-    (c_1(0) ≠ 0).
+    solves Σ_k c_k·s^k = 0 on packed ints in both fields.  Requires the
+    origin to lie on {F = 0} (c_0(0) = 0) with the solved direction
+    transverse (c_1(0) ≠ 0).
     """
     ring = F.ring
     domain = ring.domain
@@ -731,16 +733,13 @@ def _newton_lift(c: Sequence[TruncatedSeries], N: int) -> TruncatedSeries:
     A step from an approximation correct below t^k solves the linearization
     mod t^(2k), which makes it correct below t^(2k) (Brent & Kung 1978), so
     each step runs at twice the last precision, up to N.  One Horner pass
-    in s yields the residual and the slope ∂/∂s (over GF(p) on packed ints,
-    ``_packed_horner``; over Q on ``TruncatedSeries``), and the update
-    residual/slope comes from the O(N²) division recurrence.  The lift is
-    accepted only once the residual vanishes through t^N.
+    in s on packed ints (``_packed_horner``, the same for both fields)
+    yields the residual and the slope ∂/∂s, and the update residual/slope
+    comes from the O(N²) division recurrence.  The lift is accepted only
+    once the residual vanishes through t^N.
     """
     domain = c[0].domain
-    if isinstance(domain, PrimeField):
-        horner = _packed_horner(c, N)
-    else:
-        horner = _series_horner(c)
+    horner = _packed_horner(c, N)
     current = [domain.zero] * (N + 1)
     known = 1  # current is correct below t^known
     steps = 0
@@ -771,65 +770,65 @@ def _quotient(r: Sequence, s: Sequence, domain: Domain) -> list:
     return q
 
 
-def _series_horner(c: Sequence[TruncatedSeries]):
-    """Residual and slope through t^n at a coefficient list, on
-    ``TruncatedSeries``."""
-    domain = c[0].domain
+def _newton_bytes(B: int, m: int, N: int) -> int:
+    """Bytes per slot that keep ``_horner_chains`` exact through t^n, any
+    n ≤ N, for integer parts C_0..C_m and an approximation S over δ with
+    max|C_k|·δ^m ≤ B and max|S| ≤ B (over GF(p), δ = 1 and B ≤ p − 1).
 
-    def horner(current: list, n: int) -> tuple:
-        s = TruncatedSeries(domain, tuple(current[: n + 1]))
-        residual, slope = c[-1].truncate(n), series_zero(domain, n)
-        for coefficient in reversed(c[:-1]):
-            slope = slope * s + residual
-            residual = residual * s + coefficient.truncate(n)
-        return residual.coeffs, slope.coeffs
-
-    return horner
-
-
-def _newton_bytes(p: int, m: int, N: int) -> int:
-    """Bytes per slot that keep the Horner chains of ``_packed_horner``
-    exact, for c_0..c_m and the approximation packed with slots in [0, p)
-    and truncated at t^n for any n ≤ N.
-
-    Nothing is reduced before unpacking.  With B = p − 1 and X = B·(N + 1),
-    a masked product of slots bounded by u and by B has slots of at most
-    u·X (one slot sums at most N + 1 products, and so do the dropped slots
-    above the mask).  The residual chain R_0 = B, R_(j+1) = R_j·X + B gives
-    R_j ≤ B·(j + 1)·X^j, and the slope chain S_0 = 0, S_(j+1) = S_j·X + R_j
-    gives S_j ≤ B·X^(j−1)·j·(j + 1)/2.  After the m steps of one pass both
-    are at most B·(m + 1)²·X^m = (m + 1)²·(p − 1)^(m+1)·(N + 1)^m, and every
-    earlier value is smaller, so a width of bit_length of that bound plus
-    one bit keeps every slot exact and no carry crosses a slot.
+    The chains run mod 2^(w(n+1)), a ring map of truncation, so only the
+    true slots of the results must fit.  With X = B·(N + 1), a truncated
+    product of slots bounded by u and by B has slots of at most u·X.  The
+    residual chain adds constants C_k·δ^(m−k) ≤ B, so R_0 = B,
+    R_(j+1) = R_j·X + B gives R_j ≤ B·(j + 1)·X^j.  The slope chain adds
+    δ·R_j with δ ≤ B (C_1(0) ≠ 0), so T_(j+1) = T_j·X + B·R_j from T_0 = 0
+    gives T_j ≤ B²·X^(j−1)·j·(j + 1)/2 ≤ B·j·(j + 1)·X^j.  Both end at most
+    B·(m + 1)²·X^m = (m + 1)²·B^(m+1)·(N + 1)^m, and bit_length of that
+    plus a sign bit holds each as a balanced residue.
     """
-    bound = (m + 1) ** 2 * (p - 1) ** (m + 1) * (N + 1) ** m
+    bound = (m + 1) ** 2 * B ** (m + 1) * (N + 1) ** m
     return (bound.bit_length() + 1 + 7) // 8
 
 
-def _horner_chains(packed: Sequence[int], value: int, mask: int) -> tuple:
-    """Σ_k c_k·s^k and its s-derivative at s = ``value``, on packed ints
-    with unreduced slots, masked to the low slots (``_newton_bytes``)."""
-    residual, slope = packed[-1], 0
+def _horner_chains(packed: Sequence[int], value: int, delta: int, mask: int) -> tuple:
+    """Σ_k C_k·δ^(m−k)·S^k and δ times its S-derivative at S = ``value``,
+    both at one scale, for the packed C_0..C_m, mod ``mask`` + 1."""
+    residual, slope, scale = packed[-1], 0, 1
     for coefficient in reversed(packed[:-1]):
-        slope = (slope * value & mask) + residual
-        residual = (residual * value & mask) + coefficient
+        scale *= delta
+        slope = (slope * value & mask) + delta * residual
+        residual = (residual * value & mask) + (coefficient * scale & mask)
     return residual, slope
 
 
 def _packed_horner(c: Sequence[TruncatedSeries], N: int):
-    """Residual and slope through t^n at a coefficient list over GF(p):
-    c_0..c_m are packed once, ``_newton_bytes`` wide; each call packs the
-    approximation, runs both chains on unreduced slots and unpacks and
-    reduces only the two results."""
-    p = c[0].domain.p
-    width = _newton_bytes(p, len(c) - 1, N)
-    packed = [_pack(part.coeffs[: N + 1], width) for part in c]
+    """Residual and slope through t^n at a coefficient list, as integer
+    slots at one scale, in both fields: for parts C_k/L and approximation
+    S/δ, L and δ the lcms of their denominators, the chains give L·δ^m
+    times the residual and the slope, whose quotient is the update.  Over
+    GF(p), L = δ = 1.  The C_k are repacked when the width for
+    B = max(max|C_k|·δ^m, max|S|) grows."""
+    m = len(c) - 1
+    coeffs = [part.coeffs[: N + 1] for part in c]
+    L = lcm(*[x.denominator for z in coeffs for x in z])
+    C = [[x.numerator * (L // x.denominator) for x in z] for z in coeffs]
+    top = max([abs(x) for z in C for x in z])
+    state: list = [0, 0, []]  # the largest B seen, its width, the C_k packed at it
 
     def horner(current: list, n: int) -> tuple:
-        mask = (1 << (8 * width * (n + 1))) - 1
-        chains = _horner_chains(
-            [x & mask for x in packed], _pack(current[: n + 1], width), mask
-        )
-        return tuple([x % p for x in _unpack_signed(value, width, n + 1)] for value in chains)
+        s = current[: n + 1]
+        delta = lcm(*[x.denominator for x in s])
+        S = [x.numerator * (delta // x.denominator) for x in s]
+        bound = max(top * delta**m, *map(abs, S))
+        if bound > state[0]:
+            width = _newton_bytes(bound, m, N)
+            packed = state[2] if width == state[1] else [_pack_signed(z, width) for z in C]
+            state[:] = bound, width, packed
+        _, width, packed = state
+        bits = 8 * width * (n + 1)
+        mask = (1 << bits) - 1
+        residual, slope = _horner_chains(packed, _pack_signed(S, width) & mask, delta, mask)
+        both = _balanced(residual, mask) + (_balanced(slope, mask) << bits)
+        slots = _unpack_signed(both, width, 2 * n + 2)
+        return slots[: n + 1], slots[n + 1 :]
 
     return horner

@@ -675,6 +675,25 @@ class TestCampaign:
         points = [tuple(r["point"]) for r in doc["records"]]
         assert len(set(points)) == 2
 
+    def test_fixed_instance_keeps_its_field(self, tmp_path, capsys):
+        # A file over GF(13) is sampled over GF(13): another --prime is bad
+        # input, as it is for certify, and no prime or its own one runs.
+        instance = random_instance(WORKHORSE, 5, PrimeField(13))
+        path = tmp_path / "gf13.inst"
+        path.write_text(default_instance_text(instance, seed=1))
+        argv = ["campaign", str(path), "--trials", "1", "--points-off", "1",
+                "--points-on", "0", "--seed", "2"]
+        code, out, err = run_cli(argv + ["--prime", "17"], capsys)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert "works over GF(13); it cannot be rechecked over GF(17)" in err
+        code, out, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_CERTIFIED
+        assert json.loads(out)["options"]["prime"] == 13
+        code, same, _ = run_cli(argv + ["--prime", "13"], capsys)
+        assert code == cli.EXIT_CERTIFIED
+        assert reports_equal_modulo_timings(out, same)
+
     def test_requires_exactly_one_source(self, workhorse_file, capsys):
         code, _, err = run_cli(["campaign"], capsys)
         assert code == cli.EXIT_INPUT_ERROR

@@ -39,12 +39,15 @@ from cycover.series import (
     truncate_f,
 )
 from cycover.series import (
+    _balanced,
     _combine_bytes,
     _compose_integers,
     _horner_chains,
     _newton_bytes,
+    _pack_signed,
     _reaching_terms,
     _slot_bytes,
+    _unpack_signed,
 )
 from helpers import series_parameter, truncated_kth_root
 from oracles import (
@@ -831,6 +834,33 @@ def test_kth_root_matches_degree_by_degree(data):
     assert series_kth_root(c, K) == kth_root_degree_by_degree(c, K)
 
 
+def test_rational_newton_forms_no_series_product(monkeypatch):
+    # Over Q, arc_lift and series_kth_root run the packed Horner chains as
+    # GF(p) does: no generic TruncatedSeries product is formed.
+    ring = ring_over(NAMES3, QQ)
+    base = Polynomial(
+        ring, {(1, 0, 0): F(2, 3), (0, 2, 0): F(-5, 7), (1, 1, 1): F(1), (2, 0, 1): F(-1, 2)}
+    )
+    free = {1: QS(0, F(1, 3), -2, 5, F(7, 11)), 2: QS(0, 4, F(-3, 5), 1, 0)}
+    branch = QS(1, F(1, 2), -3, F(2, 9), 7)
+    expected = (
+        arc_lift_by_recomposition(base, 0, free, 4),
+        kth_root_degree_by_degree(branch, 3),
+    )
+    calls = []
+    product = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls.append(self)
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    lifted = arc_lift(base, 0, free, 4)
+    root = series_kth_root(branch, 3)
+    assert calls == []
+    assert (lifted, root) == expected
+
+
 def _mod_p(x: Fraction, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
@@ -874,29 +904,55 @@ def test_packed_lift_equals_rational_lift_mod_p(data):
     assert packed.coeffs == tuple(_mod_p(x, p) for x in rational.coeffs)
 
 
-@pytest.mark.parametrize("p", [5, 2**61 - 1], ids=["5", "2^61-1"])
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_newton_width_worst_case(p, m):
-    # Every slot of c_0..c_m and of the approximation is p − 1: the packed
-    # Horner chains, unpacked without reduction, equal the same chains run
-    # on exact integers, so no slot carried into its neighbour.
-    N = 8
-    width = _newton_bytes(p, m, N)
-    size = width * (N + 1)
-    top = [p - 1] * (N + 1)
-    packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in top), "little")
-    residual, slope = _horner_chains([packed] * (m + 1), packed, (1 << (8 * size)) - 1)
+def _chains_at_bound(C, S, delta, B, N):
+    """The Horner chains at width ``_newton_bytes(B, m, N)`` through t^N,
+    packed and read back as balanced residues, next to the same chains on
+    exact integers: residual_(j+1) = residual_j·S + C·δ^(j+1) and
+    slope_(j+1) = slope_j·S + δ·residual_j."""
+    m = len(C) - 1
+    width = _newton_bytes(B, m, N)
+    mask = (1 << (8 * width * (N + 1))) - 1
+    packed = [_pack_signed(z, width) for z in C]
+    residual, slope = _horner_chains(packed, _pack_signed(S, width) & mask, delta, mask)
 
     def slots(value):
-        raw = value.to_bytes(size, "little")
-        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)]
+        return _unpack_signed(_balanced(value, mask), width, N + 1)
 
     def times(a, b):
         return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(N + 1)]
 
-    exact_residual, exact_slope = top, [0] * (N + 1)
-    for _ in range(m):
-        exact_slope = [x + y for x, y in zip(times(exact_slope, top), exact_residual)]
-        exact_residual = [x + y for x, y in zip(times(exact_residual, top), top)]
-    assert slots(residual) == exact_residual
-    assert slots(slope) == exact_slope
+    exact_residual, exact_slope, scale = C[-1], [0] * (N + 1), 1
+    for z in reversed(C[:-1]):
+        scale *= delta
+        exact_slope = [x + delta * y for x, y in zip(times(exact_slope, S), exact_residual)]
+        exact_residual = [x + scale * y for x, y in zip(times(exact_residual, S), z)]
+    return (slots(residual), slots(slope)), (exact_residual, exact_slope)
+
+
+@pytest.mark.parametrize("p", [5, 2**61 - 1], ids=["5", "2^61-1"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_newton_width_worst_case(p, m):
+    # Over GF(p), δ = 1 and B = p − 1.  Every slot of c_0..c_m and of the
+    # approximation is p − 1: the packed Horner chains, unpacked without
+    # reduction, equal the same chains run on exact integers, so no slot
+    # carried into its neighbour.
+    N = 8
+    top = [p - 1] * (N + 1)
+    packed, exact = _chains_at_bound([top] * (m + 1), top, 1, p - 1, N)
+    assert packed == exact
+
+
+@pytest.mark.parametrize("delta", [2, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_newton_width_worst_case_over_q(m, delta):
+    # Over Q the parts C_k and the approximation S over δ carry signed
+    # slots.  With C_k = (−1)^k·c and every slot of S equal to −c·δ^m = −B,
+    # every term of the residual has one sign and every term of the slope
+    # the other, so both chains reach their largest magnitudes; read back
+    # as balanced residues they equal the exact integer chains.
+    N, c = 8, 5
+    B = c * delta**m
+    C = [[(-1) ** k * c] * (N + 1) for k in range(m + 1)]
+    packed, exact = _chains_at_bound(C, [-B] * (N + 1), delta, B, N)
+    assert packed == exact
+    assert min(exact[1]) < 0 < min(exact[0])
