@@ -85,6 +85,7 @@ from .poly import QQ, PrimeField, random_homogeneous, ring_over
 from .regseq import (
     CERTIFIED_REGULAR,
     DEFAULT_PAIR_BUDGET,
+    INCONCLUSIVE,
     REFUTED_AT_PREFIX,
 )
 from .report import (
@@ -137,6 +138,7 @@ _VERDICT_EXIT = {
 _REGULARITY_VERDICT = {
     CERTIFIED_REGULAR: VERDICT_CERTIFIED,
     REFUTED_AT_PREFIX: VERDICT_REFUTED,
+    INCONCLUSIVE: VERDICT_INCONCLUSIVE,
 }
 
 BRANCH_OFF = "off"
@@ -202,7 +204,8 @@ class CampaignConfig:
     When ``instance_text`` is None every trial draws a fresh random
     instance of ``family`` over GF(prime); otherwise all trials reuse the
     instance described by that file text (reduced mod ``prime`` when the
-    file works over the rationals).  The sampling prime must satisfy
+    file works over the rationals; a file over GF(q) needs prime = q).  The
+    sampling prime must satisfy
     prime = 1 (mod K); the config is rejected before any work otherwise.
     Workers above 1 check the (trial, point) tasks in separate processes;
     results are merged in task order, so reports do not depend on timing.
@@ -234,6 +237,12 @@ class CampaignConfig:
                 raise ValueError(
                     "the fixed instance file describes a different family "
                     "than the campaign configuration"
+                )
+            field = document.instance.domain
+            if isinstance(field, PrimeField) and field.p != self.prime:
+                raise ValueError(
+                    f"the instance file works over GF({field.p}); it cannot be "
+                    f"rechecked over GF({self.prime})"
                 )
 
 

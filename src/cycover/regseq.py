@@ -25,6 +25,9 @@ square matrix proves full column rank.  Only when it is singular (Macaulay's
 extraneous factor vanishes) are all multiples of all generators ranked.
 Over Q the forms are reduced modulo a large prime at which every
 coefficient is defined, and the elimination and the rank run on residues.  Non-homogeneous sequences and weighted rings are rejected.
+Both matrix shapes follow from the degrees alone, so a sequence whose
+matrices would pass MACAULAY_ENTRY_BUDGET entries is reported inconclusive
+before anything is built.
 
 Nothing in the certificate runs once per matrix entry in Python.  The
 substitution moves the exponents of the variables that stay and forms one
@@ -32,7 +35,11 @@ product of cached powers of the linear images per group of terms; each
 Macaulay matrix is scattered into a numpy array form by form, its columns
 found by mixed-radix monomial codes; and the elimination updates only the
 rows with a nonzero in the pivot column, in the columns where the pivot row
-is nonzero.
+is nonzero.  Each diagonal entry of the square matrix is a form's
+x_i^(d_i) coefficient, so that matrix is eliminated on its diagonal, with
+no pivot search, in a fill-reducing Markowitz order planned once per
+process for each number of variables and degrees; only when a diagonal
+pivot vanishes does the search take over the rest.
 
 Buchberger completion runs only for a prefix whose cut draws all failed,
 to find the dimension of its zero set.  That work is metered by a
@@ -42,10 +49,12 @@ as unknown and the refutation is Monte-Carlo evidence.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from math import comb
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +64,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     PrimeField,
-    monomials_of_degree,
+    _monomials,
     poly_mul,
     ring_over,
 )
@@ -66,6 +75,10 @@ DEFAULT_PAIR_BUDGET = 200_000
 # prime below it where every entry is defined): specializing can only lower
 # rank, so a full rank mod p proves full rank over Q.
 RANK_CHECK_PRIME = 2_147_483_629
+# A cut draw whose Macaulay matrices would hold more entries than this, the
+# square one and the full one together, is refused before either is built:
+# 512 MiB as int64.  (6,5,2,2)'s top prefix needs 1820^2 + 3421 * 1820.
+MACAULAY_ENTRY_BUDGET = 2**26
 
 
 class BudgetExceededError(RuntimeError):
@@ -298,6 +311,7 @@ def ideal_dimension(I: IdealPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> 
 
 CERTIFIED_REGULAR = "CertifiedRegular"
 REFUTED_AT_PREFIX = "RefutedAtPrefix"
+INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -330,7 +344,8 @@ class RegularityVerdict:
     RefutedAtPrefix(i) says that every cut draw failed for prefix i; it is
     a proof when the prefix's local dimension is known (it exceeds the
     expected one) and Monte-Carlo evidence when the Groebner budget ran out
-    first.
+    first.  Inconclusive says that a cut draw's Macaulay matrices were too
+    large to build; its message names their shape.
     """
 
     outcome: str
@@ -439,7 +454,23 @@ def _rank_dtype(p: int):
     return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
-def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
+class PivotPlan(NamedTuple):
+    """A diagonal pivot order for a square matrix (``_pivot_plan``).
+
+    ``steps`` holds one (pivot, hot end, support end) per pivot, in order:
+    pivot k updates the rows ``hot[previous hot end:hot end]`` (an (h, 1)
+    int32 array) in the columns ``support[previous support end:support
+    end]`` (int32).  Both exclude k and the pivots before it.
+    """
+
+    steps: tuple
+    hot: np.ndarray
+    support: np.ndarray
+
+
+def _has_full_column_rank(
+    rows, ncols: int, p: int, plan: Optional[PivotPlan] = None
+) -> bool:
     """Gaussian elimination mod p that touches only nonzero entries.
 
     ``rows`` is a 2-D array, eliminated in place when its dtype is the one
@@ -448,10 +479,36 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
     only the columns where the pivot row is nonzero (structured Gaussian
     elimination, LaMacchia & Odlyzko 1990): the matrix is stored densely
     but worked sparsely.  Entries stay in [0, p).
+
+    A ``plan`` is for a square matrix whose pattern its own contains.  Its
+    diagonal pivots come first, in its order, each with one scalar read
+    and one gather, update and scatter over the rows and columns the plan
+    lists.  When every one is nonzero the matrix is nonsingular.  At the
+    first that vanishes, the rows and columns of the pivots left hold the
+    Schur complement of those done, which is singular exactly when the
+    matrix is; the pivot search below ranks it.  With no plan the search
+    ranks the whole matrix.
     """
     if len(rows) < ncols:
         return False
     mat = np.asarray(rows, dtype=_rank_dtype(p))
+    if plan is not None:
+        hot_at = support_at = 0
+        for done, (k, hot_end, support_end) in enumerate(plan.steps):
+            pivot = int(mat[k, k])
+            if pivot == 0:
+                rest = [step[0] for step in plan.steps[done:]]
+                mat, ncols = mat[np.ix_(rest, rest)], len(rest)
+                break
+            if hot_end > hot_at:
+                hot = plan.hot[hot_at:hot_end]
+                support = plan.support[support_at:support_end]
+                scaled = mat[k, support] * pow(pivot, p - 2, p) % p
+                block = (hot, support)
+                mat[block] = (mat[block] - mat[hot, k] * scaled) % p
+            hot_at, support_at = hot_end, support_end
+        else:
+            return True
     for c in range(ncols):
         below = np.flatnonzero(mat[c:, c])
         if below.size == 0:
@@ -469,47 +526,135 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
     return True
 
 
-def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.ndarray:
-    """Macaulay matrix of v homogeneous forms in v variables over GF(p).
+def _macaulay_shape(nvars: int, degrees: Sequence[int]) -> tuple:
+    """(columns, full rows) of the Macaulay matrices of forms of these
+    degrees in ``nvars`` variables: the monomials of degree cap, and the
+    multiples x^b·f_i of degree cap.  The square matrix is columns²."""
+    cap = sum(d - 1 for d in degrees) + 1
+    columns = comb(cap + nvars - 1, nvars - 1)
+    full_rows = sum(comb(cap - d + nvars - 1, nvars - 1) for d in degrees)
+    return columns, full_rows
+
+
+def _macaulay_positions(
+    nvars: int, degrees: Sequence[int], supports: Sequence, square: bool
+) -> tuple:
+    """Where forms with these supports sit in their Macaulay matrix.
 
     Columns are the monomials of degree cap = sum(d_i - 1) + 1 in the
     ``monomials_of_degree`` order.  With ``square``, the row of column x^a
     is x^(a - d_i e_i)·f_i for the first form i with a_i >= d_i (Macaulay's
-    assignment; some i qualifies by pigeonhole); otherwise the rows are
-    every multiple x^b·f_i of degree cap, form by form.  Each monomial gets
-    the mixed-radix code sum a_j·(cap + 1)^j.  No exponent reaches cap + 1,
-    so the code of a product is the sum of the codes, and in one degree the
+    assignment; some i qualifies by pigeonhole), so its diagonal entry is
+    f_i's x_i^(d_i) coefficient; otherwise the rows are every multiple
+    x^b·f_i of degree cap, form by form.  Each monomial gets the
+    mixed-radix code sum a_j·(cap + 1)^j.  No exponent reaches cap + 1, so
+    the code of a product is the sum of the codes, and in one degree the
     codes rise exactly as grevlex descends (the last variable is the most
     significant digit): ``searchsorted`` on the column codes finds every
     entry's column at once.
+
+    Returns (rows, columns, one (row indices, entry columns) pair per
+    form), the entry columns one row per row index and one column per
+    support monomial.
     """
-    ring = forms[0].ring
-    degrees = [g.degree() for g in forms]
     cap = sum(d - 1 for d in degrees) + 1
     # Codes stay below (cap + 1)^v, far inside int64 for any matrix that fits.
-    place = (cap + 1) ** np.arange(ring.nvars, dtype=np.int64)
+    place = (cap + 1) ** np.arange(nvars, dtype=np.int64)
 
     def codes(exponents) -> np.ndarray:
         return (np.array(exponents, dtype=np.int64) * place).sum(axis=1)
 
-    columns = monomials_of_degree(ring, cap)
+    columns = _monomials((1,) * nvars, cap)
     column_codes = codes(columns)
     if square:
         d = np.array(degrees)
         form_of_row = np.argmax(np.array(columns) >= d, axis=1)
         shift_codes = column_codes - d[form_of_row] * place[form_of_row]
     else:
-        shifts = [monomials_of_degree(ring, cap - d) for d in degrees]
-        form_of_row = np.repeat(np.arange(len(forms)), [len(s) for s in shifts])
+        shifts = [_monomials((1,) * nvars, cap - d) for d in degrees]
+        form_of_row = np.repeat(np.arange(len(degrees)), [len(s) for s in shifts])
         shift_codes = np.concatenate([codes(s) for s in shifts])
-    dtype = _rank_dtype(p)
-    mat = np.zeros((len(shift_codes), len(columns)), dtype=dtype)
-    for k, g in enumerate(forms):
+    positions = []
+    for k, support in enumerate(supports):
         rows = np.flatnonzero(form_of_row == k)
-        coeffs = np.array(list(g.terms.values()), dtype=dtype)
-        entries = shift_codes[rows, None] + codes(list(g.terms))
-        mat[rows[:, None], np.searchsorted(column_codes, entries)] = coeffs
+        entries = shift_codes[rows, None] + codes(support)
+        positions.append((rows, np.searchsorted(column_codes, entries)))
+    return len(shift_codes), len(columns), positions
+
+
+def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.ndarray:
+    """Macaulay matrix of v homogeneous forms in v variables over GF(p),
+    laid out by ``_macaulay_positions``."""
+    nvars = forms[0].ring.nvars
+    degrees = [g.degree() for g in forms]
+    nrows, ncols, positions = _macaulay_positions(
+        nvars, degrees, [list(g.terms) for g in forms], square
+    )
+    dtype = _rank_dtype(p)
+    mat = np.zeros((nrows, ncols), dtype=dtype)
+    for g, (rows, columns) in zip(forms, positions):
+        mat[rows[:, None], columns] = np.array(list(g.terms.values()), dtype=dtype)
     return mat
+
+
+@functools.lru_cache(maxsize=32)
+def _pivot_plan(nvars: int, degrees: tuple) -> PivotPlan:
+    """Diagonal pivot order for Macaulay's square matrix of forms of these
+    degrees in ``nvars`` variables, with the structural fill of each pivot.
+
+    The pattern is that of dense forms, so it contains the pattern of every
+    square matrix of this shape at every step of the elimination.  Pivots
+    are chosen greedily by the Markowitz cost (r - 1)(c - 1), with r and c
+    the row and column counts of the pattern still to eliminate (Markowitz
+    1957), ties to the lowest index.  A pivot lists no rows when its row or
+    its column holds nothing else.  Only booleans are held while planning,
+    and the plan keeps its indices as int32 in two flat arrays.
+    """
+    ones = (1,) * nvars
+    n, _, positions = _macaulay_positions(
+        nvars, degrees, [_monomials(ones, d) for d in degrees], square=True
+    )
+    pattern = np.zeros((n, n), dtype=bool)
+    for rows, columns in positions:
+        pattern[rows[:, None], columns] = True
+    del positions
+    row_count = pattern.sum(axis=1)
+    column_count = pattern.sum(axis=0)
+    done = np.zeros(n, dtype=bool)
+    steps = np.zeros((n, 3), dtype=np.int32)
+    # Pivot i updates at most n - 1 - i rows and columns.  Only the pages
+    # written become resident, and nothing kept is allocated in the loop.
+    hots = np.empty(n * (n - 1) // 2, dtype=np.int32)
+    supports = np.empty(n * (n - 1) // 2, dtype=np.int32)
+    hot_end = support_end = 0
+    for i in range(n):
+        cost = (row_count - 1) * (column_count - 1)
+        cost[done] = n * n
+        k = int(np.argmin(cost))
+        done[k] = True
+        pattern[k, k] = False
+        hot = np.flatnonzero(pattern[:, k])
+        support = np.flatnonzero(pattern[k])
+        pattern[hot, k] = False
+        pattern[k, support] = False
+        row_count[hot] -= 1
+        column_count[support] -= 1
+        if hot.size and support.size:
+            block = (hot[:, None], support)
+            fill = ~pattern[block]
+            row_count[hot] += fill.sum(axis=1)
+            column_count[support] += fill.sum(axis=0)
+            pattern[block] = True
+            hots[hot_end : hot_end + hot.size] = hot
+            supports[support_end : support_end + support.size] = support
+            hot_end += hot.size
+            support_end += support.size
+        steps[i] = k, hot_end, support_end
+    return PivotPlan(
+        tuple(map(tuple, steps.tolist())),
+        hots[:hot_end, None].copy(),
+        supports[:support_end].copy(),
+    )
 
 
 def _substitute_linear(F: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
@@ -633,6 +778,12 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
     generator.  True is a proof that the origin is the whole zero set; False
     simply means this certificate did not fire.
 
+    The square matrix is eliminated on its diagonal in the order of the
+    cached ``_pivot_plan`` for its number of variables and degrees, and the
+    pivot search finishes the elimination when a diagonal pivot vanishes.
+    Permuting rows and columns alike does not change whether a matrix is
+    singular, so the plan's order changes no decision.
+
     Over Q everything runs on the forms' residues mod the rank-check prime
     p.  A full column rank mod p is a nonzero maximal minor mod p, so a
     nonzero minor over Q: working mod p can only miss a certificate that Q
@@ -652,12 +803,15 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
             image = _substitute_linear(g, images)
             if not image.is_zero():
                 reduced_gens.append(image)
-    if len(reduced_gens) != images[0].ring.nvars:
+    nvars = images[0].ring.nvars
+    if len(reduced_gens) != nvars:
         # Fewer equations cannot isolate a point; more never arise from one
         # generator per variable, and Macaulay's rows pair forms with variables.
         return False
+    # The plan's boolean pattern is built and freed before the matrix exists.
+    plan = _pivot_plan(nvars, tuple(g.degree() for g in reduced_gens))
     square = _macaulay_matrix(reduced_gens, p, square=True)
-    if _has_full_column_rank(square, square.shape[1], p):
+    if _has_full_column_rank(square, square.shape[1], p, plan):
         return True
     # Singular (Macaulay's extraneous factor vanishes): rank every multiple,
     # with the square matrix freed first.
@@ -697,6 +851,12 @@ def regular_at_origin(
     the walk goes on.  A larger dimension proves the prefix is not
     regular.  Only when the budget runs out is the refutation Monte-Carlo
     evidence.
+
+    The Macaulay matrices of every draw are bounded by those of the whole
+    sequence's nonlinear members, whose shape follows from their degrees.
+    When those would hold more than MACAULAY_ENTRY_BUDGET entries, the
+    verdict is Inconclusive, with no draw made, and its message names the
+    shape.
     """
     if not sequence:
         raise ValueError("empty sequence")
@@ -721,6 +881,24 @@ def regular_at_origin(
             raise ValueError("regularity is certified only for homogeneous entries")
     if trials < 1:
         raise ValueError("at least one trial required")
+    # A draw that ranks has one form per variable left, some of the
+    # nonlinear members of its prefix, and the matrices grow with every
+    # form added: the whole sequence's nonlinear members bound every draw.
+    degrees = tuple(g.degree() for g in sequence if g.degree() > 1)
+    if degrees:
+        columns, full_rows = _macaulay_shape(len(degrees), degrees)
+        if columns * (columns + full_rows) > MACAULAY_ENTRY_BUDGET:
+            return RegularityVerdict(
+                outcome=INCONCLUSIVE,
+                trial_count=trials,
+                evidence=(),
+                message=(
+                    f"Macaulay matrices of {columns} x {columns} (square) and "
+                    f"{full_rows} x {columns} (full) for forms of degrees "
+                    f"{', '.join(map(str, degrees))} in {len(degrees)} variables "
+                    f"exceed the budget of {MACAULAY_ENTRY_BUDGET} entries"
+                ),
+            )
 
     def draw(i: int) -> tuple:
         # Prefix i's draws up to the first that certifies.  A prefix with

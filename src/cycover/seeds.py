@@ -80,12 +80,3 @@ class Rng:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.below(hi - lo + 1)
-
-    def nonzero_below(self, n: int) -> int:
-        """Integer in [1, n); retries on 0."""
-        if n <= 1:
-            raise ValueError("nonzero_below() needs a bound above 1")
-        while True:
-            value = self.below(n)
-            if value:
-                return value

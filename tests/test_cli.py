@@ -3,10 +3,11 @@
 import argparse
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from cycover import cli
+from cycover import cli, regseq
 from cycover.cover import default_prime, random_instance, sample_point_off_branch
 from cycover.family import validate_family
 from cycover.parsing import MAX_NESTING, parse_instance_file
@@ -694,6 +695,22 @@ class TestCampaign:
         assert code == cli.EXIT_CERTIFIED
         assert reports_equal_modulo_timings(out, same)
 
+    def test_oversized_macaulay_shape_is_inconclusive(self, monkeypatch, capsys):
+        # (7,5,3,2)'s square Macaulay matrix would be 33,649^2: refused from
+        # the degrees alone, with neither its pivot plan nor a matrix built.
+        refuse = mock.Mock(side_effect=AssertionError("built past the budget"))
+        monkeypatch.setattr(regseq, "_pivot_plan", refuse)
+        monkeypatch.setattr(regseq, "_macaulay_matrix", refuse)
+        argv = ["campaign", "--family", "7,5,3,2", "--trials", "1",
+                "--points-off", "1", "--points-on", "0", "--seed", "7"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_INCONCLUSIVE
+        (record,) = json.loads(out)["records"]
+        assert record["verdict"] == VERDICT_INCONCLUSIVE
+        regularity = record["regularity"]
+        assert regularity["verdict"] == VERDICT_INCONCLUSIVE
+        assert "33649 x 33649 (square)" in regularity["message"]
+
     def test_requires_exactly_one_source(self, workhorse_file, capsys):
         code, _, err = run_cli(["campaign"], capsys)
         assert code == cli.EXIT_INPUT_ERROR
@@ -824,6 +841,23 @@ class TestOptionValidation:
                 points_off=1,
                 points_on=0,
             )
+
+    def test_campaign_config_checks_fixed_instance_field(self):
+        # A file over GF(13) cannot be sampled over another prime field.
+        instance = random_instance(validate_family(5, 2, 2, 3), 5, PrimeField(13))
+        text = default_instance_text(instance, seed=1)
+        with pytest.raises(ValueError, match="works over GF\\(13\\)"):
+            cli.CampaignConfig(
+                family=instance.family,
+                prime=31,
+                instance_text=text,
+                points_off=1,
+                points_on=0,
+            )
+        config = cli.CampaignConfig(
+            family=instance.family, prime=13, instance_text=text, points_off=1, points_on=0
+        )
+        assert config.prime == 13
 
 
 class TestVerdictAggregation:

@@ -16,11 +16,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycover import regseq
-from cycover.poly import PrimeField, QQ, random_homogeneous, ring_over
+from cycover.poly import (
+    Polynomial,
+    PrimeField,
+    QQ,
+    monomials_of_degree,
+    random_homogeneous,
+    ring_over,
+)
 from cycover.regseq import (
     BudgetExceededError,
     CERTIFIED_REGULAR,
     CutTrial,
+    INCONCLUSIVE,
+    MACAULAY_ENTRY_BUDGET,
     PrefixEvidence,
     RANK_CHECK_PRIME,
     REFUTED_AT_PREFIX,
@@ -29,6 +38,8 @@ from cycover.regseq import (
     _has_full_column_rank,
     _linear_images,
     _macaulay_matrix,
+    _macaulay_shape,
+    _pivot_plan,
     _rank_check_prime,
     _reduced_row_echelon,
     _substitute_linear,
@@ -665,11 +676,11 @@ def rank_checks(gens, ring, withhold_square=False):
     unranked, so the decision is the full matrix's alone."""
     checks = []
 
-    def recording(rows, ncols, p):
+    def recording(rows, ncols, p, plan=None):
         if withhold_square and not checks:
             full_rank = False
         else:
-            full_rank = _has_full_column_rank(rows, ncols, p)
+            full_rank = _has_full_column_rank(rows, ncols, p, plan)
         checks.append((len(rows), ncols, full_rank))
         return full_rank
 
@@ -753,8 +764,8 @@ def test_singular_square_matrix_falls_back_to_full_rows(domain, monkeypatch):
     z1, z2, z3 = ring.gens()
     checks = []
 
-    def recording(rows, ncols, p):
-        full_rank = _has_full_column_rank(rows, ncols, p)
+    def recording(rows, ncols, p, plan=None):
+        full_rank = _has_full_column_rank(rows, ncols, p, plan)
         checks.append((len(rows), ncols, full_rank))
         return full_rank
 
@@ -765,6 +776,149 @@ def test_singular_square_matrix_falls_back_to_full_rows(domain, monkeypatch):
     assert top.prefix == 3 and len(top.trials) == 1
     # The top prefix has no cuts: cap 4, 15 columns, 3 * 6 full rows.
     assert checks[-2:] == [(15, 15, False), (18, 15, True)]
+
+
+# -- the planned diagonal elimination of the square matrix ---------------------------
+
+PLAN_PRIMES = (2, 3, 101, 1_000_003, RANK_CHECK_PRIME, 2**61 - 1)
+
+
+def square_case_forms(p, nvars, degrees, kind, seed):
+    """Forms mod p of the given degrees.  ``dense``: every coefficient drawn;
+    ``sparse``: each monomial kept with probability 1/2; ``common-zero``:
+    forms without their x_1^d term, so all vanish at (1, 0, ..., 0), moved
+    by a random linear change of variables."""
+    ring = ring_over(("z1", "z2", "z3", "z4")[:nvars], PrimeField(p))
+    rng = Rng(seed)
+    forms = []
+    for d in degrees:
+        monomials = monomials_of_degree(ring, d)
+        terms = {}
+        for exps in monomials:
+            if kind == "sparse" and rng.below(2):
+                continue
+            if kind == "common-zero" and exps[0] == d:
+                continue
+            terms[exps] = rng.below(p)
+        form = Polynomial(ring, terms)
+        if form.is_zero():
+            form = Polynomial(ring, {monomials[-1]: 1})
+        forms.append(form)
+    if kind == "common-zero":
+        change = random_linear_cuts(ring, nvars, seed)
+        forms = [g.substitute(change) for g in forms]
+    return forms
+
+
+@st.composite
+def square_cases(draw):
+    # At most 56 columns, so the list RREF oracle stays fast.
+    nvars = draw(st.integers(1, 4))
+    top = 2 if nvars == 4 else 3
+    degrees = tuple(draw(st.lists(st.integers(1, top), min_size=nvars, max_size=nvars)))
+    kind = draw(st.sampled_from(("dense", "sparse", "common-zero")))
+    return nvars, degrees, kind
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(PLAN_PRIMES), square_cases(), st.integers(0, 2**31))
+def test_planned_elimination_matches_search_and_rref(p, case, seed):
+    nvars, degrees, kind = case
+    assume(nvars > 1 or kind != "common-zero")
+    forms = square_case_forms(p, nvars, degrees, kind, seed)
+    assume(all(not g.is_zero() for g in forms))
+    matrix = _macaulay_matrix(forms, p, square=True)
+    n = matrix.shape[1]
+    _, pivots = _reduced_row_echelon(matrix.tolist(), PrimeField(p))
+    expected = len(pivots) == n
+    if kind == "common-zero":
+        assert not expected
+    plan = _pivot_plan(nvars, degrees)
+    assert _has_full_column_rank(matrix.copy(), n, p, plan) == expected
+    assert _has_full_column_rank(matrix, n, p) == expected
+
+
+def test_planned_elimination_with_zero_diagonal_entries():
+    # Cap 4, 15 columns.  The plan certifies a nonzero diagonal alone; with
+    # zero diagonal entries the search decides either way.
+    ring = ring_over(("z1", "z2", "z3"), PrimeField(101))
+    z1, z2, z3 = ring.gens()
+    plan = _pivot_plan(3, (2, 2, 2))
+    for forms, zeros, expected in (
+        ([z1**2, z2**2, z3**2], 0, True),
+        ([z1**2 + z2**2, z1**2 + z3**2, z2**2 + z3**2], 5, True),
+        ([z2**2, z3**2, z1**2], 15, False),
+        ([z1 * z2, z2 * z3, z3 * z1], 15, False),
+    ):
+        matrix = _macaulay_matrix(forms, 101, square=True)
+        assert np.count_nonzero(np.diag(matrix) == 0) == zeros
+        assert _has_full_column_rank(matrix, 15, 101, plan) == expected
+
+
+def test_pivot_plan_is_cached_per_shape():
+    plan = _pivot_plan(3, (2, 3, 2))
+    assert _pivot_plan(3, (2, 3, 2)) is plan
+    assert _pivot_plan(3, (2, 2, 3)) is not plan
+    hits = _pivot_plan.cache_info().hits
+    _pivot_plan(3, (2, 3, 2))
+    assert _pivot_plan.cache_info().hits == hits + 1
+    # One step per diagonal pivot, each pivot once, updating only pivots
+    # still to come; int32 indices.
+    n, _ = _macaulay_shape(3, (2, 3, 2))
+    assert sorted(k for k, _, _ in plan.steps) == list(range(n))
+    assert plan.hot.dtype == plan.support.dtype == np.int32
+    assert plan.hot.shape == (plan.steps[-1][1], 1)
+    assert plan.support.shape == (plan.steps[-1][2],)
+    hot_at = support_at = 0
+    for done, (k, hot_end, support_end) in enumerate(plan.steps):
+        later = {step[0] for step in plan.steps[done + 1 :]}
+        assert set(plan.hot[hot_at:hot_end, 0]) <= later
+        assert set(plan.support[support_at:support_end]) <= later
+        hot_at, support_at = hot_end, support_end
+
+
+def test_square_check_runs_the_cached_plan():
+    # The square matrix gets its shape's plan; the full rows get none.
+    z1, z2, z3 = R3.gens()
+    plans = []
+
+    def recording(rows, ncols, p, plan=None):
+        plans.append(plan)
+        return False if len(plans) == 1 else _has_full_column_rank(rows, ncols, p, plan)
+
+    with mock.patch.object(regseq, "_has_full_column_rank", recording):
+        _certify_isolated_homogeneous([z1**2 + z2 * z3, z2**3 - z1 * z3**2, z3**2], R3)
+    assert plans[0] is _pivot_plan(3, (2, 3, 2))
+    assert plans[1] is None
+
+
+def test_macaulay_shape_is_predicted_and_budgeted():
+    # (6,5,2,2)'s top prefix fits the budget; (7,5,3,2)'s does not.
+    columns, full_rows = _macaulay_shape(5, (2, 3, 4, 3, 4))
+    assert (columns, full_rows) == (1820, 3421)
+    assert columns * (columns + full_rows) <= MACAULAY_ENTRY_BUDGET
+    assert _macaulay_shape(6, (2, 3, 4, 5, 4, 5)) == (33649, 76245)
+    for nvars, degrees in ((3, (2, 3, 2)), (2, (1, 3)), (4, (2, 2, 2, 2))):
+        ring = ring_over(("z1", "z2", "z3", "z4")[:nvars], PrimeField(101))
+        forms = [random_homogeneous(ring, d, seed=d) for d in degrees]
+        columns, full_rows = _macaulay_shape(nvars, degrees)
+        assert _macaulay_matrix(forms, 101, square=True).shape == (columns, columns)
+        assert _macaulay_matrix(forms, 101, square=False).shape == (full_rows, columns)
+
+
+def test_oversized_shape_is_inconclusive_before_any_allocation():
+    ring = ring_over(tuple(f"z{k}" for k in range(6)), PrimeField(101))
+    gens = ring.gens()
+    sequence = [g**d for g, d in zip(gens, (2, 3, 4, 5, 4, 5))]
+    refuse = mock.Mock(side_effect=AssertionError("built past the budget"))
+    with mock.patch.object(regseq, "_pivot_plan", refuse), mock.patch.object(
+        regseq, "_macaulay_matrix", refuse
+    ):
+        verdict = regular_at_origin(sequence, seed=1)
+    assert verdict.outcome == INCONCLUSIVE and not verdict.certified
+    assert verdict.evidence == ()
+    assert "33649 x 33649 (square) and 76245 x 33649 (full)" in verdict.message
+    assert "degrees 2, 3, 4, 5, 4, 5 in 6 variables" in verdict.message
 
 
 def test_rank_check_prime_skips_primes_dividing_a_denominator():
