@@ -32,14 +32,18 @@ before anything is built.
 Nothing in the certificate runs once per matrix entry in Python.  The
 substitution moves the exponents of the variables that stay and forms one
 product of cached powers of the linear images per group of terms; each
-Macaulay matrix is scattered into a numpy array form by form, its columns
-found by mixed-radix monomial codes; and the elimination updates only the
-rows with a nonzero in the pivot column, in the columns where the pivot row
-is nonzero.  Each diagonal entry of the square matrix is a form's
+Macaulay matrix is scattered form by form, its columns found by mixed-radix
+monomial codes.  Each diagonal entry of the square matrix is a form's
 x_i^(d_i) coefficient, so that matrix is eliminated on its diagonal, with
 no pivot search, in a fill-reducing Markowitz order planned once per
-process for each number of variables and degrees; only when a diagonal
-pivot vanishes does the search take over the rest.
+process for each number of variables and degrees.  It is stored as its
+envelope (Jennings 1966): one flat array that keeps each row from its first
+to its last structural column, fill included, laid out by the plan, so an
+entry's address is its row's offset plus its column.  Only when a diagonal
+pivot vanishes is the Schur complement left read out densely, for the pivot
+search that also ranks the full matrix; that search updates only the rows
+with a nonzero in the pivot column, in the columns where the pivot row is
+nonzero.
 
 Buchberger completion runs only for a prefix whose cut draws all failed,
 to find the dimension of its zero set.  That work is metered by a
@@ -76,8 +80,11 @@ DEFAULT_PAIR_BUDGET = 200_000
 # rank, so a full rank mod p proves full rank over Q.
 RANK_CHECK_PRIME = 2_147_483_629
 # A cut draw whose Macaulay matrices would hold more entries than this, the
-# square one and the full one together, is refused before either is built:
-# 512 MiB as int64.  (6,5,2,2)'s top prefix needs 1820^2 + 3421 * 1820.
+# square one counted densely and the full one together, is refused before
+# either is built: 512 MiB as int64.  The square matrix is stored as its
+# envelope, which never holds more than the dense count; the envelope's own
+# size needs the pivot plan.  (6,5,2,2)'s top prefix needs 1820^2 + 3421 *
+# 1820.
 MACAULAY_ENTRY_BUDGET = 2**26
 
 
@@ -455,60 +462,42 @@ def _rank_dtype(p: int):
 
 
 class PivotPlan(NamedTuple):
-    """A diagonal pivot order for a square matrix (``_pivot_plan``).
+    """A diagonal pivot order for Macaulay's square matrix, and the envelope
+    that stores the matrix (``_pivot_plan``).
 
-    ``steps`` holds one (pivot, hot end, support end) per pivot, in order:
-    pivot k updates the rows ``hot[previous hot end:hot end]`` (an (h, 1)
-    int32 array) in the columns ``support[previous support end:support
-    end]`` (int32).  Both exclude k and the pivots before it.
+    The envelope is one flat array of ``size`` entries.  Row r keeps the
+    columns ``first[r]`` to ``last[r]``, which hold every entry the row has
+    at any step of the elimination, and entry (r, c) sits at ``offset[r] +
+    c``.  ``steps`` holds one (pivot, its row's offset, hot end, support end)
+    per pivot, in order: pivot k updates the rows whose offsets are
+    ``hot[previous hot end:hot end]`` (an (h, 1) array) in the columns
+    ``support[previous support end:support end]``.  Both exclude k and the
+    pivots before it.  Every index is int64.
     """
 
     steps: tuple
     hot: np.ndarray
     support: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    offset: np.ndarray
+    size: int
 
 
-def _has_full_column_rank(
-    rows, ncols: int, p: int, plan: Optional[PivotPlan] = None
-) -> bool:
+def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
     """Gaussian elimination mod p that touches only nonzero entries.
 
     ``rows`` is a 2-D array, eliminated in place when its dtype is the one
     ``_rank_dtype(p)`` names, or a list of equal-length int lists.  Each
     pivot updates only the rows with a nonzero in its column, and in them
     only the columns where the pivot row is nonzero (structured Gaussian
-    elimination, LaMacchia & Odlyzko 1990): the matrix is stored densely
-    but worked sparsely.  Entries stay in [0, p).
-
-    A ``plan`` is for a square matrix whose pattern its own contains.  Its
-    diagonal pivots come first, in its order, each with one scalar read
-    and one gather, update and scatter over the rows and columns the plan
-    lists.  When every one is nonzero the matrix is nonsingular.  At the
-    first that vanishes, the rows and columns of the pivots left hold the
-    Schur complement of those done, which is singular exactly when the
-    matrix is; the pivot search below ranks it.  With no plan the search
-    ranks the whole matrix.
+    elimination, LaMacchia & Odlyzko 1990).  It ranks the full Macaulay
+    matrix and the Schur complement ``_envelope_is_nonsingular`` leaves,
+    both stored densely but worked sparsely.  Entries stay in [0, p).
     """
     if len(rows) < ncols:
         return False
     mat = np.asarray(rows, dtype=_rank_dtype(p))
-    if plan is not None:
-        hot_at = support_at = 0
-        for done, (k, hot_end, support_end) in enumerate(plan.steps):
-            pivot = int(mat[k, k])
-            if pivot == 0:
-                rest = [step[0] for step in plan.steps[done:]]
-                mat, ncols = mat[np.ix_(rest, rest)], len(rest)
-                break
-            if hot_end > hot_at:
-                hot = plan.hot[hot_at:hot_end]
-                support = plan.support[support_at:support_end]
-                scaled = mat[k, support] * pow(pivot, p - 2, p) % p
-                block = (hot, support)
-                mat[block] = (mat[block] - mat[hot, k] * scaled) % p
-            hot_at, support_at = hot_end, support_end
-        else:
-            return True
     for c in range(ncols):
         below = np.flatnonzero(mat[c:, c])
         if below.size == 0:
@@ -523,6 +512,40 @@ def _has_full_column_rank(
             scaled = mat[c, support] * pow(int(mat[c, c]), p - 2, p) % p
             block = (hot[:, None], support)
             mat[block] = (mat[block] - mat[hot, c][:, None] * scaled) % p
+    return True
+
+
+def _envelope_is_nonsingular(envelope: np.ndarray, plan: PivotPlan, p: int) -> bool:
+    """Whether the square matrix stored in ``plan``'s envelope is
+    nonsingular mod p; the envelope is eliminated in place.
+
+    The diagonal pivots come in the plan's order, each with one scalar read
+    and one take, update and put over the rows and columns the plan lists,
+    all inside those rows' envelopes.  When every pivot is nonzero the
+    matrix is nonsingular.  At the first that vanishes, the rows and columns
+    of the pivots left hold the Schur complement of those done, which is
+    singular exactly when the matrix is: it is read out densely, zero
+    outside each row's envelope, and ``_has_full_column_rank`` ranks it.
+    """
+    hot_at = support_at = 0
+    for done, (k, row, hot_end, support_end) in enumerate(plan.steps):
+        pivot = int(envelope[row + k])
+        if pivot == 0:
+            rest = np.array([step[0] for step in plan.steps[done:]])
+            rows, columns = np.nonzero(
+                (plan.first[rest, None] <= rest) & (rest <= plan.last[rest, None])
+            )
+            schur = np.zeros((rest.size, rest.size), dtype=envelope.dtype)
+            schur[rows, columns] = envelope.take(plan.offset[rest[rows]] + rest[columns])
+            return _has_full_column_rank(schur, rest.size, p)
+        if hot_end > hot_at:
+            hot = plan.hot[hot_at:hot_end]
+            support = plan.support[support_at:support_end]
+            scaled = envelope.take(row + support) * pow(pivot, p - 2, p) % p
+            block = hot + support
+            updated = envelope.take(block) - envelope.take(hot + k) * scaled
+            envelope.put(block, updated % p)
+        hot_at, support_at = hot_end, support_end
     return True
 
 
@@ -582,13 +605,14 @@ def _macaulay_positions(
     return len(shift_codes), len(columns), positions
 
 
-def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.ndarray:
-    """Macaulay matrix of v homogeneous forms in v variables over GF(p),
-    laid out by ``_macaulay_positions``."""
+def _macaulay_matrix(forms: Sequence[Polynomial], p: int) -> np.ndarray:
+    """The full Macaulay matrix of v homogeneous forms in v variables over
+    GF(p), every multiple of every form, laid out by
+    ``_macaulay_positions``."""
     nvars = forms[0].ring.nvars
     degrees = [g.degree() for g in forms]
     nrows, ncols, positions = _macaulay_positions(
-        nvars, degrees, [list(g.terms) for g in forms], square
+        nvars, degrees, [list(g.terms) for g in forms], square=False
     )
     dtype = _rank_dtype(p)
     mat = np.zeros((nrows, ncols), dtype=dtype)
@@ -597,63 +621,101 @@ def _macaulay_matrix(forms: Sequence[Polynomial], p: int, square: bool) -> np.nd
     return mat
 
 
+def _macaulay_envelope(
+    forms: Sequence[Polynomial], p: int, plan: PivotPlan
+) -> np.ndarray:
+    """Macaulay's square matrix of v homogeneous forms in v variables over
+    GF(p), laid out by ``_macaulay_positions`` and stored in the envelope of
+    ``plan``, the pivot plan for their number of variables and degrees."""
+    nvars = forms[0].ring.nvars
+    degrees = [g.degree() for g in forms]
+    _, _, positions = _macaulay_positions(
+        nvars, degrees, [list(g.terms) for g in forms], square=True
+    )
+    dtype = _rank_dtype(p)
+    envelope = np.zeros(plan.size, dtype=dtype)
+    for g, (rows, columns) in zip(forms, positions):
+        envelope[plan.offset[rows, None] + columns] = np.array(
+            list(g.terms.values()), dtype=dtype
+        )
+    return envelope
+
+
 @functools.lru_cache(maxsize=32)
 def _pivot_plan(nvars: int, degrees: tuple) -> PivotPlan:
     """Diagonal pivot order for Macaulay's square matrix of forms of these
-    degrees in ``nvars`` variables, with the structural fill of each pivot.
+    degrees in ``nvars`` variables, with the structural fill of each pivot
+    and the envelope of the filled rows.
 
     The pattern is that of dense forms, so it contains the pattern of every
     square matrix of this shape at every step of the elimination.  Pivots
     are chosen greedily by the Markowitz cost (r - 1)(c - 1), with r and c
     the row and column counts of the pattern still to eliminate (Markowitz
     1957), ties to the lowest index.  A pivot lists no rows when its row or
-    its column holds nothing else.  Only booleans are held while planning,
-    and the plan keeps its indices as int32 in two flat arrays.
+    its column holds nothing else.  Each row's first and last column start
+    at its form's and widen with the fill as it is applied, so the envelope
+    holds the pattern at every step.  Only booleans are held while planning,
+    and the indices are turned into envelope offsets once the envelope is
+    known.
     """
     ones = (1,) * nvars
     n, _, positions = _macaulay_positions(
         nvars, degrees, [_monomials(ones, d) for d in degrees], square=True
     )
     pattern = np.zeros((n, n), dtype=bool)
+    first = np.empty(n, dtype=np.int64)
+    last = np.empty(n, dtype=np.int64)
     for rows, columns in positions:
         pattern[rows[:, None], columns] = True
+        first[rows] = columns.min(axis=1)
+        last[rows] = columns.max(axis=1)
     del positions
     row_count = pattern.sum(axis=1)
     column_count = pattern.sum(axis=0)
-    done = np.zeros(n, dtype=bool)
-    steps = np.zeros((n, 3), dtype=np.int32)
+    steps = np.zeros((n, 3), dtype=np.int64)
     # Pivot i updates at most n - 1 - i rows and columns.  Only the pages
     # written become resident, and nothing kept is allocated in the loop.
     hots = np.empty(n * (n - 1) // 2, dtype=np.int32)
     supports = np.empty(n * (n - 1) // 2, dtype=np.int32)
     hot_end = support_end = 0
     for i in range(n):
-        cost = (row_count - 1) * (column_count - 1)
-        cost[done] = n * n
-        k = int(np.argmin(cost))
-        done[k] = True
+        k = int(np.argmin((row_count - 1) * (column_count - 1)))
+        # A pivot done costs n^2 from now on, above any other's (n - 1)^2.
+        row_count[k] = column_count[k] = n + 1
         pattern[k, k] = False
         hot = np.flatnonzero(pattern[:, k])
         support = np.flatnonzero(pattern[k])
         pattern[hot, k] = False
-        pattern[k, support] = False
-        row_count[hot] -= 1
-        column_count[support] -= 1
+        pattern[k] = False
         if hot.size and support.size:
             block = (hot[:, None], support)
             fill = ~pattern[block]
-            row_count[hot] += fill.sum(axis=1)
-            column_count[support] += fill.sum(axis=0)
+            row_count[hot] += fill.sum(axis=1) - 1
+            column_count[support] += fill.sum(axis=0) - 1
             pattern[block] = True
+            first[hot] = np.minimum(first[hot], support[0])
+            last[hot] = np.maximum(last[hot], support[-1])
             hots[hot_end : hot_end + hot.size] = hot
             supports[support_end : support_end + support.size] = support
             hot_end += hot.size
             support_end += support.size
+        else:
+            row_count[hot] -= 1
+            column_count[support] -= 1
         steps[i] = k, hot_end, support_end
+    del pattern
+    # The rows' envelopes lie back to back in row order.
+    width = last - first + 1
+    offset = np.cumsum(width) - width - first
+    pivots = steps[:, 0]
     return PivotPlan(
-        tuple(map(tuple, steps.tolist())),
-        hots[:hot_end, None].copy(),
-        supports[:support_end].copy(),
+        tuple(zip(pivots.tolist(), offset[pivots].tolist(), *steps[:, 1:].T.tolist())),
+        offset[hots[:hot_end], None],
+        supports[:support_end].astype(np.int64),
+        first,
+        last,
+        offset,
+        int(width.sum()),
     )
 
 
@@ -778,11 +840,12 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
     generator.  True is a proof that the origin is the whole zero set; False
     simply means this certificate did not fire.
 
-    The square matrix is eliminated on its diagonal in the order of the
-    cached ``_pivot_plan`` for its number of variables and degrees, and the
-    pivot search finishes the elimination when a diagonal pivot vanishes.
-    Permuting rows and columns alike does not change whether a matrix is
-    singular, so the plan's order changes no decision.
+    The square matrix is stored as the envelope of the cached ``_pivot_plan``
+    for its number of variables and degrees and eliminated on its diagonal
+    in the plan's order; the pivot search finishes the elimination when a
+    diagonal pivot vanishes.  Permuting rows and columns alike does not
+    change whether a matrix is singular, so the plan's order changes no
+    decision.
 
     Over Q everything runs on the forms' residues mod the rank-check prime
     p.  A full column rank mod p is a nonzero maximal minor mod p, so a
@@ -808,15 +871,13 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
         # Fewer equations cannot isolate a point; more never arise from one
         # generator per variable, and Macaulay's rows pair forms with variables.
         return False
-    # The plan's boolean pattern is built and freed before the matrix exists.
+    # The plan's boolean pattern is built and freed before the envelope exists.
     plan = _pivot_plan(nvars, tuple(g.degree() for g in reduced_gens))
-    square = _macaulay_matrix(reduced_gens, p, square=True)
-    if _has_full_column_rank(square, square.shape[1], p, plan):
+    if _envelope_is_nonsingular(_macaulay_envelope(reduced_gens, p, plan), plan, p):
         return True
     # Singular (Macaulay's extraneous factor vanishes): rank every multiple,
-    # with the square matrix freed first.
-    del square
-    full = _macaulay_matrix(reduced_gens, p, square=False)
+    # with the envelope freed first.
+    full = _macaulay_matrix(reduced_gens, p)
     return _has_full_column_rank(full, full.shape[1], p)
 
 

@@ -379,9 +379,10 @@ def macaulay_assignment(alpha: tuple, degrees: Sequence[int]) -> tuple:
 def macaulay_rows_by_lists(
     forms: Sequence[Polynomial], p: int, square: bool
 ) -> list:
-    """The rows mod p of ``cycover.regseq._macaulay_matrix`` as int lists:
-    Macaulay's square rows in column order, or every multiple of every form
-    of degree cap = sum(d_i - 1) + 1, form by form."""
+    """The rows mod p of the Macaulay matrices ``cycover.regseq`` builds, as
+    int lists: Macaulay's square rows in column order (``_macaulay_envelope``
+    stores them), or every multiple of every form of degree cap = sum(d_i -
+    1) + 1, form by form (``_macaulay_matrix``)."""
     ring = forms[0].ring
     field = PrimeField(p)
     degrees = [g.degree() for g in forms]

@@ -697,9 +697,11 @@ class TestCampaign:
 
     def test_oversized_macaulay_shape_is_inconclusive(self, monkeypatch, capsys):
         # (7,5,3,2)'s square Macaulay matrix would be 33,649^2: refused from
-        # the degrees alone, with neither its pivot plan nor a matrix built.
+        # the degrees alone, with neither its pivot plan, its envelope nor a
+        # matrix built.
         refuse = mock.Mock(side_effect=AssertionError("built past the budget"))
         monkeypatch.setattr(regseq, "_pivot_plan", refuse)
+        monkeypatch.setattr(regseq, "_macaulay_envelope", refuse)
         monkeypatch.setattr(regseq, "_macaulay_matrix", refuse)
         argv = ["campaign", "--family", "7,5,3,2", "--trials", "1",
                 "--points-off", "1", "--points-on", "0", "--seed", "7"]

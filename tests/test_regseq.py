@@ -7,6 +7,8 @@ Macaulay rows built one entry at a time and ``Polynomial.substitute`` check
 the array-built matrices and the linear elimination.
 """
 
+import contextlib
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -35,8 +37,10 @@ from cycover.regseq import (
     REFUTED_AT_PREFIX,
     RegularityVerdict,
     _certify_isolated_homogeneous,
+    _envelope_is_nonsingular,
     _has_full_column_rank,
     _linear_images,
+    _macaulay_envelope,
     _macaulay_matrix,
     _macaulay_shape,
     _pivot_plan,
@@ -669,22 +673,40 @@ def test_rank_check_exact_for_primes_past_int64_products(p):
 # -- Macaulay's square matrix first, the full rows as fallback ----------------------
 
 
-def rank_checks(gens, ring, withhold_square=False):
-    """The certificate's decision and the (rows, columns, full rank) of each
-    rank check it ran.  With ``withhold_square`` the first check, which is
-    Macaulay's square one whenever any check runs, is answered "singular"
-    unranked, so the decision is the full matrix's alone."""
+@contextlib.contextmanager
+def recorded_rank_checks(withhold_square=False):
+    """Records the (rows, columns, full rank) of each rank check the
+    certificate runs: Macaulay's square matrix in its envelope, then the
+    full rows.  The dense search that ranks a Schur complement inside the
+    square check is part of that check, not a check of its own.  With
+    ``withhold_square`` the square check is answered "singular" unranked,
+    so the decision is the full matrix's alone."""
     checks = []
+    inside_square = []
 
-    def recording(rows, ncols, p, plan=None):
-        if withhold_square and not checks:
-            full_rank = False
-        else:
-            full_rank = _has_full_column_rank(rows, ncols, p, plan)
-        checks.append((len(rows), ncols, full_rank))
+    def square(envelope, plan, p):
+        inside_square.append(True)
+        full_rank = not withhold_square and _envelope_is_nonsingular(envelope, plan, p)
+        inside_square.pop()
+        n = len(plan.offset)
+        checks.append((n, n, full_rank))
         return full_rank
 
-    with mock.patch.object(regseq, "_has_full_column_rank", recording):
+    def full(rows, ncols, p):
+        full_rank = _has_full_column_rank(rows, ncols, p)
+        if not inside_square:
+            checks.append((len(rows), ncols, full_rank))
+        return full_rank
+
+    with mock.patch.object(regseq, "_envelope_is_nonsingular", square):
+        with mock.patch.object(regseq, "_has_full_column_rank", full):
+            yield checks
+
+
+def rank_checks(gens, ring, withhold_square=False):
+    """The certificate's decision and the rank checks it ran
+    (``recorded_rank_checks``)."""
+    with recorded_rank_checks(withhold_square) as checks:
         decision = _certify_isolated_homogeneous(gens, ring)
     return decision, checks
 
@@ -756,21 +778,14 @@ def test_square_matrix_has_one_row_per_column():
 
 
 @pytest.mark.parametrize("domain", DIFFERENTIAL_DOMAINS, ids=["QQ", "GF101"])
-def test_singular_square_matrix_falls_back_to_full_rows(domain, monkeypatch):
+def test_singular_square_matrix_falls_back_to_full_rows(domain):
     # Macaulay gives column z1^4 to the first generator, z2^2, whose
     # multiple z1^2*z2^2 has no z1^4 term; that column stays empty in the
     # square matrix, while the full rows contain z1^2 * z1^2.
     ring = ring_over(("z1", "z2", "z3"), domain)
     z1, z2, z3 = ring.gens()
-    checks = []
-
-    def recording(rows, ncols, p, plan=None):
-        full_rank = _has_full_column_rank(rows, ncols, p, plan)
-        checks.append((len(rows), ncols, full_rank))
-        return full_rank
-
-    monkeypatch.setattr(regseq, "_has_full_column_rank", recording)
-    verdict = regular_at_origin([z2**2, z3**2, z1**2], seed=31)
+    with recorded_rank_checks() as checks:
+        verdict = regular_at_origin([z2**2, z3**2, z1**2], seed=31)
     assert verdict.outcome == CERTIFIED_REGULAR
     top = verdict.evidence[-1]
     assert top.prefix == 3 and len(top.trials) == 1
@@ -820,6 +835,53 @@ def square_cases(draw):
     return nvars, degrees, kind
 
 
+def envelope_rows(envelope, plan):
+    """The square matrix stored in ``plan``'s envelope, as int lists: zero
+    outside each row's envelope."""
+    n = len(plan.offset)
+    return [
+        [
+            int(envelope[plan.offset[r] + c]) if plan.first[r] <= c <= plan.last[r] else 0
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+
+
+def schur_by_lists(rows, plan, p):
+    """Dense oracle for the planned elimination: eliminate ``rows`` on the
+    plan's diagonal pivots in order, every later row and every column, up to
+    the first pivot that vanishes.  Returns the pivots left and the Schur
+    complement on them, or None when no pivot vanishes."""
+    mat = [list(row) for row in rows]
+    order = [step[0] for step in plan.steps]
+    for done, k in enumerate(order):
+        if mat[k][k] == 0:
+            rest = order[done:]
+            return rest, [[mat[r][c] for c in rest] for r in rest]
+        inverse = pow(mat[k][k], p - 2, p)
+        for r in order[done + 1 :]:
+            factor = mat[r][k] * inverse % p
+            mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[k])]
+    return None
+
+
+def planned_elimination(forms, p, plan):
+    """The envelope route's decision on the square matrix of ``forms``, and
+    the Schur complement it handed to the pivot search (None if none)."""
+    handed = []
+
+    def search(rows, ncols, p):
+        handed.append(rows.tolist())
+        return _has_full_column_rank(rows, ncols, p)
+
+    envelope = _macaulay_envelope(forms, p, plan)
+    with mock.patch.object(regseq, "_has_full_column_rank", search):
+        decision = _envelope_is_nonsingular(envelope, plan, p)
+    assert len(handed) <= 1
+    return decision, (handed[0] if handed else None)
+
+
 @settings(max_examples=90, deadline=None)
 @given(st.sampled_from(PLAN_PRIMES), square_cases(), st.integers(0, 2**31))
 def test_planned_elimination_matches_search_and_rref(p, case, seed):
@@ -827,32 +889,52 @@ def test_planned_elimination_matches_search_and_rref(p, case, seed):
     assume(nvars > 1 or kind != "common-zero")
     forms = square_case_forms(p, nvars, degrees, kind, seed)
     assume(all(not g.is_zero() for g in forms))
-    matrix = _macaulay_matrix(forms, p, square=True)
-    n = matrix.shape[1]
-    _, pivots = _reduced_row_echelon(matrix.tolist(), PrimeField(p))
+    plan = _pivot_plan(nvars, degrees)
+    rows = macaulay_rows_by_lists(forms, p, square=True)
+    assert envelope_rows(_macaulay_envelope(forms, p, plan), plan) == rows
+    n = len(rows)
+    _, pivots = _reduced_row_echelon(rows, PrimeField(p))
     expected = len(pivots) == n
     if kind == "common-zero":
         assert not expected
-    plan = _pivot_plan(nvars, degrees)
-    assert _has_full_column_rank(matrix.copy(), n, p, plan) == expected
-    assert _has_full_column_rank(matrix, n, p) == expected
+    decision, schur = planned_elimination(forms, p, plan)
+    assert decision == expected
+    oracle = schur_by_lists(rows, plan, p)
+    assert schur == (None if oracle is None else oracle[1])
+    assert _has_full_column_rank(rows, n, p) == expected
 
 
 def test_planned_elimination_with_zero_diagonal_entries():
-    # Cap 4, 15 columns.  The plan certifies a nonzero diagonal alone; with
-    # zero diagonal entries the search decides either way.
-    ring = ring_over(("z1", "z2", "z3"), PrimeField(101))
-    z1, z2, z3 = ring.gens()
+    # Cap 4, 15 columns.  The plan certifies a nonzero diagonal alone; at a
+    # zero diagonal pivot the Schur complement left is read out of the
+    # envelope, and the search decides it either way.
     plan = _pivot_plan(3, (2, 2, 2))
-    for forms, zeros, expected in (
-        ([z1**2, z2**2, z3**2], 0, True),
-        ([z1**2 + z2**2, z1**2 + z3**2, z2**2 + z3**2], 5, True),
-        ([z2**2, z3**2, z1**2], 15, False),
-        ([z1 * z2, z2 * z3, z3 * z1], 15, False),
-    ):
-        matrix = _macaulay_matrix(forms, 101, square=True)
-        assert np.count_nonzero(np.diag(matrix) == 0) == zeros
-        assert _has_full_column_rank(matrix, 15, 101, plan) == expected
+    for p in PLAN_PRIMES:
+        ring = ring_over(("z1", "z2", "z3"), PrimeField(p))
+        z1, z2, z3 = ring.gens()
+        cases = (
+            ([z1**2, z2**2, z3**2], 0),
+            ([z1**2 + z2**2, z1**2 + z3**2, z2**2 + z3**2], 5),
+            ([z2**2, z3**2, z1**2], 15),
+            ([z1 * z2, z2 * z3, z3 * z1], 15),
+        )
+        decisions = []
+        for forms, zeros in cases:
+            rows = macaulay_rows_by_lists(forms, p, square=True)
+            assert sum(rows[k][k] == 0 for k in range(15)) == zeros
+            _, pivots = _reduced_row_echelon(rows, PrimeField(p))
+            decision, schur = planned_elimination(forms, p, plan)
+            assert decision == (len(pivots) == 15)
+            oracle = schur_by_lists(rows, plan, p)
+            assert (schur is None) == (zeros == 0) == (oracle is None)
+            if oracle is not None:
+                rest, complement = oracle
+                assert schur == complement
+                if zeros == 15:
+                    assert len(rest) == 15  # the first pivot already vanishes
+            decisions.append(decision)
+        # (z1 + z2)^2, (z1 + z3)^2, (z2 + z3)^2 share a zero in characteristic 2.
+        assert decisions == [True, p != 2, False, False]
 
 
 def test_pivot_plan_is_cached_per_shape():
@@ -862,34 +944,100 @@ def test_pivot_plan_is_cached_per_shape():
     hits = _pivot_plan.cache_info().hits
     _pivot_plan(3, (2, 3, 2))
     assert _pivot_plan.cache_info().hits == hits + 1
-    # One step per diagonal pivot, each pivot once, updating only pivots
-    # still to come; int32 indices.
+    # One step per diagonal pivot, each pivot once with its row's offset,
+    # updating only pivots still to come; int64 indices.
     n, _ = _macaulay_shape(3, (2, 3, 2))
-    assert sorted(k for k, _, _ in plan.steps) == list(range(n))
-    assert plan.hot.dtype == plan.support.dtype == np.int32
-    assert plan.hot.shape == (plan.steps[-1][1], 1)
-    assert plan.support.shape == (plan.steps[-1][2],)
+    assert sorted(k for k, _, _, _ in plan.steps) == list(range(n))
+    assert all(row == plan.offset[k] for k, row, _, _ in plan.steps)
+    for array in (plan.hot, plan.support, plan.first, plan.last, plan.offset):
+        assert array.dtype == np.int64
+    assert plan.hot.shape == (plan.steps[-1][2], 1)
+    assert plan.support.shape == (plan.steps[-1][3],)
     hot_at = support_at = 0
-    for done, (k, hot_end, support_end) in enumerate(plan.steps):
-        later = {step[0] for step in plan.steps[done + 1 :]}
-        assert set(plan.hot[hot_at:hot_end, 0]) <= later
-        assert set(plan.support[support_at:support_end]) <= later
+    for done, (k, _, hot_end, support_end) in enumerate(plan.steps):
+        later = [step[0] for step in plan.steps[done + 1 :]]
+        assert set(plan.hot[hot_at:hot_end, 0]) <= set(plan.offset[later])
+        assert set(plan.support[support_at:support_end]) <= set(later)
         hot_at, support_at = hot_end, support_end
 
 
+@pytest.mark.parametrize(
+    "nvars, degrees",
+    [(2, (3, 2)), (3, (2, 2, 2)), (3, (2, 3, 2)), (4, (2, 3, 4, 2)), (5, (2, 3, 4, 3, 4))],
+)
+def test_plan_reads_and_writes_inside_the_envelope(nvars, degrees):
+    plan = _pivot_plan(nvars, degrees)
+    n, _ = _macaulay_shape(nvars, degrees)
+    # The rows' envelopes lie back to back, each holding its diagonal.
+    width = plan.last - plan.first + 1
+    start = plan.offset + plan.first
+    assert start[0] == 0 and plan.size == width.sum()
+    assert np.array_equal(start[1:], start[:-1] + width[:-1])
+    assert np.all((plan.first <= np.arange(n)) & (np.arange(n) <= plan.last))
+    rank = np.empty(n, dtype=np.int64)
+    rank[[step[0] for step in plan.steps]] = np.arange(n)
+    # Every entry step i touches, as (row offsets, columns, the pivot ranks
+    # its rows may have): pivot k's own row, then the later rows it updates.
+    touched = []
+    hot_at = support_at = 0
+    for i, (k, row, hot_end, support_end) in enumerate(plan.steps):
+        hot = plan.hot[hot_at:hot_end, 0]
+        columns = np.append(plan.support[support_at:support_end], k)
+        touched.append((np.full(columns.size, row), columns, range(i, i + 1)))
+        hot_columns = np.tile(columns, hot.size)
+        touched.append((np.repeat(hot, columns.size), hot_columns, range(i + 1, n)))
+        hot_at, support_at = hot_end, support_end
+    for offsets, columns, ranks in touched:
+        # The row whose envelope holds the address has the offset meant.
+        rows = np.searchsorted(start, offsets + columns, side="right") - 1
+        assert np.array_equal(plan.offset[rows], offsets)
+        assert np.all((plan.first[rows] <= columns) & (columns <= plan.last[rows]))
+        assert np.all((ranks.start <= rank[rows]) & (rank[rows] < ranks.stop))
+
+
 def test_square_check_runs_the_cached_plan():
-    # The square matrix gets its shape's plan; the full rows get none.
+    # The square matrix is stored in its shape's plan's envelope; the full
+    # rows, 26 x 21, go to the search.
     z1, z2, z3 = R3.gens()
     plans = []
+    searched = []
 
-    def recording(rows, ncols, p, plan=None):
+    def square(envelope, plan, p):
         plans.append(plan)
-        return False if len(plans) == 1 else _has_full_column_rank(rows, ncols, p, plan)
+        assert envelope.shape == (plan.size,)
+        return False
 
-    with mock.patch.object(regseq, "_has_full_column_rank", recording):
-        _certify_isolated_homogeneous([z1**2 + z2 * z3, z2**3 - z1 * z3**2, z3**2], R3)
+    def search(rows, ncols, p):
+        searched.append(rows.shape)
+        return _has_full_column_rank(rows, ncols, p)
+
+    with mock.patch.object(regseq, "_envelope_is_nonsingular", square):
+        with mock.patch.object(regseq, "_has_full_column_rank", search):
+            _certify_isolated_homogeneous(
+                [z1**2 + z2 * z3, z2**3 - z1 * z3**2, z3**2], R3
+            )
+    assert plans == [_pivot_plan(3, (2, 3, 2))]
     assert plans[0] is _pivot_plan(3, (2, 3, 2))
-    assert plans[1] is None
+    assert searched == [(26, 21)]
+
+
+def test_square_check_stays_within_half_a_dense_matrix():
+    # A dense system of (6,5,2,2)'s top-prefix shape: 1820 x 1820 square
+    # matrix, 26.5 MB as dense int64.  Its plan is built beforehand, as a
+    # campaign builds it once.
+    degrees = (2, 3, 4, 3, 4)
+    _pivot_plan(5, degrees)
+    ring = ring_over(tuple(f"z{k}" for k in range(5)), PrimeField(1_000_003))
+    gens = [random_homogeneous(ring, d, seed=k) for k, d in enumerate(degrees)]
+    tracemalloc.start()
+    try:
+        with recorded_rank_checks() as checks:
+            assert _certify_isolated_homogeneous(gens, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks == [(1820, 1820, True)]
+    assert peak < 1820**2 * 8 / 2
 
 
 def test_macaulay_shape_is_predicted_and_budgeted():
@@ -902,8 +1050,11 @@ def test_macaulay_shape_is_predicted_and_budgeted():
         ring = ring_over(("z1", "z2", "z3", "z4")[:nvars], PrimeField(101))
         forms = [random_homogeneous(ring, d, seed=d) for d in degrees]
         columns, full_rows = _macaulay_shape(nvars, degrees)
-        assert _macaulay_matrix(forms, 101, square=True).shape == (columns, columns)
-        assert _macaulay_matrix(forms, 101, square=False).shape == (full_rows, columns)
+        plan = _pivot_plan(nvars, degrees)
+        # The dense count bounds the envelope.
+        assert len(plan.offset) == columns and plan.size <= columns**2
+        assert _macaulay_envelope(forms, 101, plan).shape == (plan.size,)
+        assert _macaulay_matrix(forms, 101).shape == (full_rows, columns)
 
 
 def test_oversized_shape_is_inconclusive_before_any_allocation():
@@ -912,8 +1063,8 @@ def test_oversized_shape_is_inconclusive_before_any_allocation():
     sequence = [g**d for g, d in zip(gens, (2, 3, 4, 5, 4, 5))]
     refuse = mock.Mock(side_effect=AssertionError("built past the budget"))
     with mock.patch.object(regseq, "_pivot_plan", refuse), mock.patch.object(
-        regseq, "_macaulay_matrix", refuse
-    ):
+        regseq, "_macaulay_envelope", refuse
+    ), mock.patch.object(regseq, "_macaulay_matrix", refuse):
         verdict = regular_at_origin(sequence, seed=1)
     assert verdict.outcome == INCONCLUSIVE and not verdict.certified
     assert verdict.evidence == ()
@@ -955,12 +1106,14 @@ def test_macaulay_matrix_matches_list_oracle(domain, nvars, degrees, seed):
     # The matrix takes residues; the oracle reduces the forms itself.
     residues = ring_over(ring.variables, PrimeField(p))
     reduced = [g.map_domain(residues) for g in forms]
-    for square in (True, False):
-        matrix = _macaulay_matrix(reduced, p, square)
-        assert matrix.dtype == (object if p == 2**61 - 1 else np.int64)
-        assert matrix.tolist() == macaulay_rows_by_lists(forms, p, square)
-        if square:
-            assert matrix.shape[0] == matrix.shape[1]
+    dtype = object if p == 2**61 - 1 else np.int64
+    matrix = _macaulay_matrix(reduced, p)
+    assert matrix.dtype == dtype
+    assert matrix.tolist() == macaulay_rows_by_lists(forms, p, square=False)
+    plan = _pivot_plan(nvars, tuple(degrees[:nvars]))
+    envelope = _macaulay_envelope(reduced, p, plan)
+    assert envelope.dtype == dtype
+    assert envelope_rows(envelope, plan) == macaulay_rows_by_lists(forms, p, square=True)
 
 
 @settings(max_examples=60, deadline=None)
