@@ -232,17 +232,11 @@ class CampaignConfig:
             raise ValueError("worker count must be at least 1")
         require_sampling_prime(self.family, self.prime, self.points_on > 0)
         if self.instance_text is not None:
-            document = parse_instance_file(self.instance_text)
-            if document.family != self.family:
+            instance = _fixed_instance(self.instance_text, self.prime)
+            if instance.family != self.family:
                 raise ValueError(
                     "the fixed instance file describes a different family "
                     "than the campaign configuration"
-                )
-            field = document.instance.domain
-            if isinstance(field, PrimeField) and field.p != self.prime:
-                raise ValueError(
-                    f"the instance file works over GF({field.p}); it cannot be "
-                    f"rechecked over GF({self.prime})"
                 )
 
 
@@ -521,23 +515,6 @@ def run_certify(
         command="certify", input_digest=input_digest(document.source_text)
     )
 
-    if document.instance.is_generalized:
-        report.options = {"seed": master_seed}
-        report.add_record(
-            {
-                "kind": "instance",
-                "verdict": VERDICT_UNSUPPORTED,
-                "reason": (
-                    "this instance carries generalized coefficient forms; "
-                    "the verification pipeline handles only plain covers "
-                    "with a single branch form"
-                ),
-            }
-        )
-        overall = _summarize(report)
-        report.timings["total_seconds"] = time.perf_counter() - started
-        return report, exit_code_for(overall)
-
     instance, prime = _resolve_field_instance(
         document, options.prime, need_sampling
     )
@@ -588,13 +565,11 @@ def run_certify(
 
 @functools.lru_cache(maxsize=1)
 def _fixed_instance(text: str, prime: int) -> CoverInstance:
-    """A fixed campaign instance, reduced mod ``prime`` when the file works
-    over the rationals.  Every task of a campaign checks the same one, so
-    it is parsed once per process for each (file text, prime) pair."""
-    instance = parse_instance_file(text).instance
-    if not isinstance(instance.domain, PrimeField):
-        instance = instance_mod_p(instance, prime)
-    return instance
+    """A fixed campaign instance over GF(``prime``), as
+    ``_resolve_field_instance`` puts it there.  The config check and every
+    task of a campaign use the same one, so it is parsed once per process
+    for each (file text, prime) pair."""
+    return _resolve_field_instance(parse_instance_file(text), prime, True)[0]
 
 
 def _campaign_task(payload: tuple) -> Dict[str, Any]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from .family import CoverFamily, FamilyConstraintError, validate_family
 from .modular import (
@@ -112,7 +112,7 @@ COVER_VARIABLE = "y"
 
 
 class UnsupportedInstanceError(ValueError):
-    """The instance carries data the analysis operations do not handle."""
+    """The instance falls in a case the analysis operations do not handle."""
 
 
 class LocalizationError(ValueError):
@@ -157,16 +157,12 @@ class CoverInstance:
     """One cyclic cover: a base form and a branch form over a common ring.
 
     The cover adjoins a K-th root of ``branch_form`` to the hypersurface cut
-    by ``base_form``.  A *generalized* instance instead records the K
-    coefficient forms of a general degree-K cover equation; such instances
-    are carried for bookkeeping but every analysis operation refuses them.
-    Over GF(p) the prime must not divide K.
+    by ``base_form``.  Over GF(p) the prime must not divide K.
     """
 
     family: CoverFamily
     base_form: Polynomial
-    branch_form: Optional[Polynomial] = None
-    generalized_forms: Optional[Tuple[Polynomial, ...]] = None
+    branch_form: Polynomial
 
     def __post_init__(self):
         fam = self.family
@@ -180,35 +176,9 @@ class CoverInstance:
             raise ValueError("ambient coordinates must all have weight 1")
         require_invertible_cover_degree(fam.cover_degree, ring.domain.characteristic)
         _require_form(self.base_form, fam.base_degree, "base form")
-        if (self.branch_form is None) == (self.generalized_forms is None):
-            raise ValueError(
-                "exactly one of branch_form and generalized_forms is required"
-            )
-        if self.branch_form is not None:
-            if self.branch_form.ring != ring:
-                raise ValueError("base and branch forms live in different rings")
-            _require_form(self.branch_form, fam.branch_degree, "branch form")
-        else:
-            forms = tuple(self.generalized_forms)
-            object.__setattr__(self, "generalized_forms", forms)
-            if len(forms) != fam.cover_degree:
-                raise ValueError(
-                    f"a generalized instance needs {fam.cover_degree} "
-                    f"coefficient forms, got {len(forms)}"
-                )
-            for i, form in enumerate(forms, start=1):
-                if form.ring != ring:
-                    raise ValueError("coefficient forms live in different rings")
-                if form.is_zero():
-                    continue
-                _require_form(
-                    form, i * fam.branch_weight, f"coefficient form {i}"
-                )
-            if forms[-1].is_zero():
-                raise ValueError(
-                    "the last coefficient form must be nonzero (otherwise the "
-                    "cover equation is divisible by the cover coordinate)"
-                )
+        if self.branch_form.ring != ring:
+            raise ValueError("base and branch forms live in different rings")
+        _require_form(self.branch_form, fam.branch_degree, "branch form")
 
     @property
     def ring(self) -> PolyRing:
@@ -217,19 +187,6 @@ class CoverInstance:
     @property
     def domain(self):
         return self.base_form.ring.domain
-
-    @property
-    def is_generalized(self) -> bool:
-        return self.generalized_forms is not None
-
-    def require_plain(self, operation: str) -> Polynomial:
-        """The branch form, or a refusal naming the calling operation."""
-        if self.branch_form is None:
-            raise UnsupportedInstanceError(
-                f"{operation} handles only plain covers (a single branch "
-                f"form); this instance carries generalized coefficient forms"
-            )
-        return self.branch_form
 
 
 def _require_form(F: Polynomial, degree: int, label: str):
@@ -267,15 +224,10 @@ def instance_mod_p(instance: CoverInstance, p: int) -> CoverInstance:
     """The same instance with coefficients reduced modulo p."""
     field = PrimeField(p)
     target = ambient_ring(instance.family, field)
-    branch = instance.branch_form
-    generalized = instance.generalized_forms
     return CoverInstance(
         family=instance.family,
         base_form=instance.base_form.map_domain(target),
-        branch_form=None if branch is None else branch.map_domain(target),
-        generalized_forms=None
-        if generalized is None
-        else tuple(f.map_domain(target) for f in generalized),
+        branch_form=instance.branch_form.map_domain(target),
     )
 
 
@@ -382,7 +334,7 @@ def localize(instance: CoverInstance, point: Sequence) -> ChartLocalization:
     locus the localized branch form is rescaled to take the value 1 at the
     origin.
     """
-    branch_form = instance.require_plain("chart localization")
+    branch_form = instance.branch_form
     fam = instance.family
     ring = instance.ring
     domain = ring.domain
@@ -525,10 +477,6 @@ def regularity_sequence(chart: ChartLocalization) -> RegularityCase:
     branch locus: q_1..q_m together with the first K branch pieces (R2).
     A case with more members than chart variables is refused as unsupported.
     """
-    if chart.instance.is_generalized:
-        raise UnsupportedInstanceError(
-            "regularity sequences handle only plain covers"
-        )
     if not smooth_at(chart):
         raise LocalizationError(
             "the chart origin is a singular point of the cover; no regularity "
@@ -626,8 +574,6 @@ def hypertangent_member(
     The multiplier of codegree a is a random homogeneous form of degree a
     (a nonzero constant for a = 0), seeded deterministically.
     """
-    if chart.instance.is_generalized:
-        raise UnsupportedInstanceError("hypertangent members handle only plain covers")
     if chart.on_branch:
         raise LocalizationError(
             "hypertangent members are defined off the branch locus"
@@ -1022,7 +968,7 @@ def sample_point_off_branch(
     (so the point lifts to rational points of the cover).  Every returned
     point is re-verified against both conditions.
     """
-    branch_form = instance.require_plain("off-branch sampling")
+    branch_form = instance.branch_form
     field = _require_sampling_field(instance)
     p = field.p
     fam = instance.family
@@ -1120,7 +1066,7 @@ def sample_point_on_branch(
     is solved on each root slice, and every candidate is re-verified
     against both forms.
     """
-    branch_form = instance.require_plain("on-branch sampling")
+    branch_form = instance.branch_form
     field = _require_sampling_field(instance, on_branch=True)
     p = field.p
     fam = instance.family

@@ -25,8 +25,7 @@ Instance files are line-oriented ``key = value`` bindings.  Recognized keys:
     seed              optional: default sampling seed carried with the file
     vars              optional: ambient variable names (default x0, x1, ...)
     f                 the base form (required)
-    g                 the branch form of a plain cover, or
-    g1 .. gK          coefficient forms of a generalized cover equation
+    g                 the branch form (required)
 
 ``#`` starts a comment anywhere on a line.  A polynomial value continues
 over following lines until the next ``key =`` line, so large forms can be
@@ -292,7 +291,6 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 _KEY_LINE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_]*)\s*=(.*)$")
 _NAME_TOKEN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _SCALAR_KEYS = ("M", "m", "l", "K", "prime", "seed", "vars")
-_GENERALIZED_KEY = re.compile(r"^g([0-9]+)$")
 
 
 def is_variable_name(name: str) -> bool:
@@ -329,7 +327,7 @@ def _collect_bindings(text: str) -> Dict[str, Tuple[str, int]]:
         match = _KEY_LINE.match(line)
         if match:
             key, value = match.group(1), match.group(2)
-            if key not in _SCALAR_KEYS and key != "f" and key != "g" and not _GENERALIZED_KEY.match(key):
+            if key not in _SCALAR_KEYS and key != "f" and key != "g":
                 raise InstanceFileError(f"unknown key {key!r}", number)
             if key in bindings:
                 raise InstanceFileError(f"duplicate key {key!r}", number)
@@ -433,41 +431,14 @@ def parse_instance_file(text: str) -> InstanceDocument:
         raise InstanceFileError("missing required key 'f' (the base form)", 1)
     base_form = _parse_form(bindings, "f", ring)
 
-    generalized_keys = sorted(
-        (int(_GENERALIZED_KEY.match(key).group(1)), key)
-        for key in bindings
-        if _GENERALIZED_KEY.match(key)
-    )
-    if "g" in bindings and generalized_keys:
-        raise InstanceFileError(
-            "give either 'g' or 'g1'..'gK' coefficient forms, not both",
-            bindings["g"][1],
-        )
-    if "g" not in bindings and not generalized_keys:
+    if "g" not in bindings:
         raise InstanceFileError("missing key 'g' (the branch form)", 1)
+    branch_form = _parse_form(bindings, "g", ring)
 
     try:
-        if "g" in bindings:
-            branch_form = _parse_form(bindings, "g", ring)
-            instance = CoverInstance(family, base_form, branch_form=branch_form)
-        else:
-            for index, key in generalized_keys:
-                if index < 1 or index > family.cover_degree:
-                    raise InstanceFileError(
-                        f"coefficient form key {key!r} is out of range "
-                        f"1..{family.cover_degree}",
-                        bindings[key][1],
-                    )
-            forms = [ring.const(0) for _ in range(family.cover_degree)]
-            for index, key in generalized_keys:
-                forms[index - 1] = _parse_form(bindings, key, ring)
-            instance = CoverInstance(
-                family, base_form, generalized_forms=tuple(forms)
-            )
+        instance = CoverInstance(family, base_form, branch_form=branch_form)
     except ValueError as error:
-        if isinstance(error, InstanceFileError):
-            raise
-        raise InstanceFileError(str(error), bindings.get("f", ("", 1))[1]) from error
+        raise InstanceFileError(str(error), bindings["f"][1]) from error
 
     return InstanceDocument(
         family=family,

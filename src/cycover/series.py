@@ -278,11 +278,6 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-    def truncate(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("order bound must be nonnegative")
-        return TruncatedSeries(self.domain, self.coeffs[: n + 1] or (self.domain.zero,))
-
 
 def series_constant(domain: Domain, value, N: int) -> TruncatedSeries:
     return TruncatedSeries(domain, (domain.of(value),) + (domain.zero,) * N)
@@ -621,9 +616,6 @@ class Arc:
     def order_bound(self) -> int:
         return next(iter(self.components.values())).order_bound
 
-    def component(self, name: str) -> TruncatedSeries:
-        return self.components[name]
-
 
 @dataclass(frozen=True)
 class OrderResult:
@@ -651,10 +643,6 @@ class OrderResult:
     @classmethod
     def infinity(cls) -> "OrderResult":
         return cls(lower=0, exact=False, infinite=True)
-
-    def meets(self, threshold: int) -> bool:
-        """Whether the order is certainly >= threshold."""
-        return self.infinite or self.lower >= threshold
 
     def describe(self) -> str:
         if self.infinite:

@@ -53,10 +53,5 @@ def default_instance_text(instance: CoverInstance, seed: Optional[int] = None) -
     if instance.ring.variables != default_names:
         lines.append("vars = " + " ".join(instance.ring.variables))
     lines.append(f"f = {instance.base_form.text()}")
-    if instance.branch_form is not None:
-        lines.append(f"g = {instance.branch_form.text()}")
-    else:
-        for index, form in enumerate(instance.generalized_forms, start=1):
-            if not form.is_zero():
-                lines.append(f"g{index} = {form.text()}")
+    lines.append(f"g = {instance.branch_form.text()}")
     return "\n".join(lines) + "\n"

@@ -200,6 +200,11 @@ def derivative(F: Polynomial, var_index: int) -> Polynomial:
     return Polynomial(F.ring, result)
 
 
+def truncate_series(s: TruncatedSeries, n: int) -> TruncatedSeries:
+    """s with every coefficient above t^n dropped."""
+    return TruncatedSeries(s.domain, s.coeffs[: n + 1])
+
+
 def poly_on_series_by_terms(
     F: Polynomial, assignment: Mapping[str, TruncatedSeries]
 ) -> TruncatedSeries:
@@ -213,7 +218,7 @@ def poly_on_series_by_terms(
         term = series_constant(domain, coeff, n)
         for s, e in zip(series, exps):
             if e:
-                term = term * s.truncate(n).pow_int(e)
+                term = term * truncate_series(s, n).pow_int(e)
         total = total + term
     return total
 
@@ -226,7 +231,7 @@ def compose_by_power_caching(
     term at full precision, whatever the series' t-orders."""
     domain = F.ring.domain
     one = series_constant(domain, domain.one, N)
-    return compose(F, [s.truncate(N) for s in series], one)
+    return compose(F, [truncate_series(s, N) for s in series], one)
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -262,7 +267,7 @@ def arc_lift_by_recomposition(
     if domain.is_zero(partial(origin)):
         raise SingularDirectionError("the solved direction is not transverse")
     assignment = {
-        name: free_values[i].truncate(N)
+        name: truncate_series(free_values[i], N)
         for i, name in enumerate(ring.variables)
         if i != solved_var
     }
@@ -287,7 +292,7 @@ def kth_root_degree_by_degree(c: TruncatedSeries, K: int) -> TruncatedSeries:
     n = c.order_bound
     coeffs = [domain.one] + [domain.zero] * n
     for d in range(1, n + 1):
-        power = TruncatedSeries(domain, tuple(coeffs)).truncate(d).pow_int(K)
+        power = TruncatedSeries(domain, tuple(coeffs[: d + 1])).pow_int(K)
         coeffs[d] = domain.mul(domain.sub(c[d], power[d]), inv_K)
     return TruncatedSeries(domain, tuple(coeffs))
 

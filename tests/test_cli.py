@@ -37,12 +37,14 @@ f = x0*x1 + x2^2
 g = x0^8 + x1^8 + x2^8 + x3^8 + x4^8 + x5^8 + x6^8
 """
 
-GENERALIZED_FILE = """\
+# 'g1'..'gK' coefficient forms in place of 'g' are not part of the format.
+COEFFICIENT_FORMS_FILE = """\
 M = 5
 m = 4
 l = 2
 K = 2
 f = x0^3*x1 + x1^4 - x2^4 + x3^4 + x4^4 + x5^4 + x6^4
+g1 = x0^2 + x1^2
 g2 = x0^4 + x1^4
 """
 
@@ -342,15 +344,18 @@ class TestCertify:
         assert record["regularity"]["outcome"] == "RefutedAtPrefix"
         assert record["regularity"]["refuted_prefix"] == 3
 
-    def test_generalized_instance_unsupported_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "generalized.inst"
-        path.write_text(GENERALIZED_FILE)
-        code, out, _ = run_cli(["certify", str(path)], capsys)
-        assert code == cli.EXIT_INCONCLUSIVE
-        doc = json.loads(out)
-        assert doc["records"][0]["verdict"] == VERDICT_UNSUPPORTED
-        assert "generalized" in doc["records"][0]["reason"]
-        assert doc["summary"]["verdict"] == VERDICT_UNSUPPORTED
+    def test_coefficient_form_keys_rejected_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "coefficient-forms.inst"
+        path.write_text(COEFFICIENT_FORMS_FILE)
+        for argv in (
+            ["certify", str(path)],
+            ["localize", str(path), "--point", "1,0,0,0,0,0,0"],
+            ["campaign", str(path), "--trials", "1"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == cli.EXIT_INPUT_ERROR, argv
+            assert out == ""
+            assert "unknown key 'g1'" in err
 
     def test_deeply_nested_form_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "nested.inst"

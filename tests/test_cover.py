@@ -101,7 +101,6 @@ def _quartic_instance(domain=QQ):
 class TestInstance:
     def test_valid_instance(self):
         inst = _quartic_instance()
-        assert not inst.is_generalized
         assert inst.ring.nvars == 7
 
     def test_rejects_wrong_base_degree(self):
@@ -137,47 +136,8 @@ class TestInstance:
         ring = ambient_ring(WORKHORSE, QQ)
         x = ring.gens()
         f = x[0] ** 4 + x[1] ** 4
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CoverInstance(family=WORKHORSE, base_form=f)
-        with pytest.raises(ValueError):
-            CoverInstance(
-                family=WORKHORSE,
-                base_form=f,
-                branch_form=x[0] ** 4,
-                generalized_forms=(x[0] ** 2, x[0] ** 4),
-            )
-
-    def test_generalized_instance_carried_but_refused(self):
-        ring = ambient_ring(WORKHORSE, QQ)
-        x = ring.gens()
-        f = x[0] ** 4 + x[1] ** 4
-        inst = CoverInstance(
-            family=WORKHORSE,
-            base_form=f,
-            generalized_forms=(x[0] ** 2 + x[1] ** 2, x[0] ** 4),
-        )
-        assert inst.is_generalized
-        with pytest.raises(UnsupportedInstanceError):
-            localize(inst, (0, 1, 0, 0, 0, 0, 0))
-
-    def test_generalized_degree_validation(self):
-        ring = ambient_ring(WORKHORSE, QQ)
-        x = ring.gens()
-        f = x[0] ** 4 + x[1] ** 4
-        # first coefficient form must have degree branch_weight = 2
-        with pytest.raises(ValueError):
-            CoverInstance(
-                family=WORKHORSE,
-                base_form=f,
-                generalized_forms=(x[0] ** 3, x[0] ** 4),
-            )
-        # last coefficient form must be nonzero
-        with pytest.raises(ValueError):
-            CoverInstance(
-                family=WORKHORSE,
-                base_form=f,
-                generalized_forms=(x[0] ** 2, ring.zero()),
-            )
 
     def test_mod_p_reduction(self):
         inst = _quartic_instance()
@@ -500,7 +460,7 @@ class TestArcs:
             {n: s for n, s in arc.components.items() if n != "y"},
         )
         assert composed.order() is None
-        y = arc.component("y")
+        y = arc.components["y"]
         branch = poly_on_series(
             off_chart.localized_branch,
             {n: s for n, s in arc.components.items() if n != "y"},
@@ -509,7 +469,7 @@ class TestArcs:
         # normalized sheet: y(0) = 1; chart components vanish at t = 0
         assert y[0] == off_chart.domain.one
         for name in off_chart.ring.variables:
-            assert arc.component(name)[0] == off_chart.domain.zero
+            assert arc.components[name][0] == off_chart.domain.zero
 
     def test_off_branch_arc_deterministic(self, off_chart):
         a = arc_through_chart_origin(off_chart, seed=100, order_bound=6)
@@ -524,7 +484,7 @@ class TestArcs:
             {n: s for n, s in arc.components.items() if n != "y"},
         )
         assert composed.order() is None
-        y = arc.component("y")
+        y = arc.components["y"]
         branch = poly_on_series(
             on_chart.localized_branch,
             {n: s for n, s in arc.components.items() if n != "y"},
@@ -537,7 +497,7 @@ class TestArcs:
         K = WORKHORSE.cover_degree
         arc = arc_through_chart_origin(on_chart, seed=200, order_bound=6)
         for name in on_chart.ring.variables:
-            series = arc.component(name)
+            series = arc.components[name]
             for j, c in enumerate(series.coeffs):
                 if j % K:
                     assert c == on_chart.domain.zero
@@ -675,7 +635,7 @@ def _check_on_branch_arc(chart, arc):
     chart_components = {n: s for n, s in arc.components.items() if n != "y"}
     assert poly_on_series_by_terms(chart.localized_base, chart_components).order() is None
     branch = poly_on_series_by_terms(chart.localized_branch, chart_components)
-    y = arc.component("y")
+    y = arc.components["y"]
     assert (y.pow_int(K) - branch).order() is None
     assert y[0] == domain.zero
     # A generic arc leaves the branch locus, so y is nonzero through t^N.

@@ -40,7 +40,7 @@ vars = a b c d e u v
 f = a*b + c^2 + d^2 + e^2 + u^2 + v^2
 g = a^5*b + b^6 + c^6 + d^6 + e^5*u + u^6 - v^6 + 2*a*c^5
 """,
-    # Generalized coefficient forms, continued over two lines.
+    # Both forms continued over two lines.
     """\
 M = 5
 m = 4
@@ -48,8 +48,8 @@ l = 2
 K = 2
 f = x0^3*x1 + x1^4 - x2^4 + x3^4
     + x4^4 + x5^4 + x6^4
-g1 = x0^2 + x1^2
-g2 = x0^4 + x1^4
+g = x0^4 + x1^4 + x2^4
+    + x3^4 + x4^4 + x5^4 + x6^4
 """,
 )
 

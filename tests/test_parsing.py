@@ -297,32 +297,12 @@ class TestInstanceFile:
         with pytest.raises(InstanceFileError, match="7 variable names"):
             parse_instance_file(text)
 
-    def test_generalized_forms(self):
-        text = WORKHORSE_FILE.replace(
-            "g = x0^4 + x1^4 + x2^4", "g1 = x0^2\ng2 = x0^4 + x1^4"
-        )
-        doc = parse_instance_file(text)
-        assert doc.instance.is_generalized
-        assert len(doc.instance.generalized_forms) == 2
-
-    def test_generalized_with_gap_fills_zero(self):
-        text = WORKHORSE_FILE.replace(
-            "g = x0^4 + x1^4 + x2^4", "g2 = x0^4 + x1^4"
-        )
-        doc = parse_instance_file(text)
-        assert doc.instance.generalized_forms[0].is_zero()
-
     def test_both_branch_styles_rejected(self):
+        # 'g1'..'gK' coefficient-form keys are not part of the format.
         text = WORKHORSE_FILE + "g2 = x0^4\n"
-        with pytest.raises(InstanceFileError, match="not both"):
+        with pytest.raises(InstanceFileError, match="unknown key 'g2'") as err:
             parse_instance_file(text)
-
-    def test_generalized_index_out_of_range(self):
-        text = WORKHORSE_FILE.replace(
-            "g = x0^4 + x1^4 + x2^4", "g3 = x0^6\ng2 = x1^4"
-        )
-        with pytest.raises(InstanceFileError, match="out of range"):
-            parse_instance_file(text)
+        assert err.value.line == 11
 
     def test_missing_branch_form(self):
         text = WORKHORSE_FILE.replace("g = x0^4 + x1^4 + x2^4\n", "")

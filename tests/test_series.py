@@ -24,7 +24,6 @@ import cycover.series as series_module
 from cycover.series import (
     Arc,
     GammaTable,
-    OrderResult,
     SingularDirectionError,
     TruncatedSeries,
     arc_lift,
@@ -389,7 +388,7 @@ class TestOrdAlongArc:
     def test_zero_polynomial_has_infinite_order(self):
         arc = Arc({"z1": series_parameter(QQ, 5), "z2": series_zero(QQ, 5)})
         result = ord_along_arc(R2.zero(), arc)
-        assert result.infinite and result.meets(10**9)
+        assert result.infinite
 
     def test_bound_hit_is_not_exact(self):
         z1, z2 = R2.gens()
@@ -399,12 +398,6 @@ class TestOrdAlongArc:
         assert not result.exact and not result.infinite
         assert result.lower == 6
         assert result.describe() == ">= 6"
-
-    def test_meets_threshold(self):
-        assert OrderResult.exactly(3).meets(3)
-        assert not OrderResult.exactly(3).meets(4)
-        assert OrderResult.at_least(6).meets(6)
-        assert not OrderResult.at_least(6).meets(7)
 
     def test_arc_requires_matching_bounds(self):
         with pytest.raises(ValueError):
