@@ -21,5 +21,4 @@ from .poly import (  # noqa: F401
     random_homogeneous,
     ring_over,
     translate_origin,
-    vanishing_order,
 )

@@ -172,8 +172,6 @@ class CoverInstance:
                 f"base form has {ring.nvars} variables; the family needs "
                 f"{fam.ambient_variable_count}"
             )
-        if any(w != 1 for w in ring.weights):
-            raise ValueError("ambient coordinates must all have weight 1")
         require_invertible_cover_degree(fam.cover_degree, ring.domain.characteristic)
         _require_form(self.base_form, fam.base_degree, "base form")
         if self.branch_form.ring != ring:
@@ -883,6 +881,15 @@ def branch_truncation_check(
     The function y^K - (sum of branch pieces of degree > k) agrees along any
     arc on the cover with the low truncation of the branch form, so its
     vanishing order at the chart origin must be at least k + 1.
+
+    What a pass measures: ``_arc_on_branch`` draws the chart components in
+    u = t^K, so every chart variable has t-order at least K, while y has
+    t-order ``shift``, usually 1.  The order along such an arc gives the
+    chart variables weight K and y weight 1.  A pass is evidence that this
+    weighted order is at least k + 1, not that the multiplicity on V is.
+    Adding z^k for a free chart variable z lowers the multiplicity to k,
+    yet such arcs still pass.  A fail is still a proof, since the order
+    along any arc through the origin is at least the multiplicity.
     """
     if not chart.on_branch:
         raise LocalizationError(

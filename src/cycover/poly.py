@@ -3,9 +3,8 @@
 Coefficients live in an exact domain: the rationals (``fractions.Fraction``,
 always lowest terms with positive denominator) or a prime field F_p whose
 elements are plain ints reduced to [0, p).  A polynomial belongs to a
-:class:`PolyRing`, which fixes an ordered variable tuple and a positive
-integer weight per variable; "degree" always means the weighted total
-degree with respect to those weights.
+:class:`PolyRing`, which fixes an ordered variable tuple; "degree" always
+means the total degree, read through ``PolyRing.monomial_degree``.
 
 Terms are stored sparsely, keyed by exponent tuple, in no particular order.
 Equality and hashing ignore the order; ``leading()`` and ``text()`` use
@@ -171,42 +170,34 @@ QQ = Rationals()
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Ordered variables with per-variable positive weights over a domain."""
+    """Ordered variables over a domain."""
 
     variables: tuple
     domain: Domain
-    weights: tuple = None
 
     def __post_init__(self):
         names = tuple(self.variables)
         object.__setattr__(self, "variables", names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        weights = self.weights
-        if weights is None:
-            weights = (1,) * len(names)
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != len(names):
-            raise ValueError("one weight per variable required")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", weights)
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
-    def wdeg(self, exps: Exponents) -> int:
-        weights = self.weights
-        return sum(e * weights[i] for i, e in enumerate(exps) if e)
+    def monomial_degree(self, exps: Exponents) -> int:
+        """The degree of a monomial: the one degree that ``term_key``,
+        ``Polynomial.degree``, ``homogeneous_components`` and
+        ``regseq.normal_form`` read."""
+        return sum(exps)
 
     def term_key(self, exps: Exponents):
         """Sort key realizing graded reverse lexicographic order.
 
-        Larger key = larger monomial: compare weighted degree first, then
-        prefer the monomial whose last differing exponent is smaller.
+        Larger key = larger monomial: compare degree first, then prefer the
+        monomial whose last differing exponent is smaller.
         """
-        return (self.wdeg(exps), tuple(-e for e in reversed(exps)))
+        return (self.monomial_degree(exps), tuple(-e for e in reversed(exps)))
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -233,8 +224,8 @@ class PolyRing:
         return Polynomial(self, {exps: coeff})
 
 
-def ring_over(variables: Iterable[str], domain: Domain = QQ, weights=None) -> PolyRing:
-    return PolyRing(tuple(variables), domain, tuple(weights) if weights is not None else None)
+def ring_over(variables: Iterable[str], domain: Domain = QQ) -> PolyRing:
+    return PolyRing(tuple(variables), domain)
 
 
 class Polynomial:
@@ -267,21 +258,18 @@ class Polynomial:
         return bool(self.terms)
 
     def _degree_range(self) -> tuple:
-        """(least, largest) weighted degree of a term, computed once;
-        (inf, -inf) for the zero polynomial."""
+        """(least, largest) degree of a term, computed once; (inf, -inf)
+        for the zero polynomial."""
         cached = self._degrees
         if cached is None:
-            degrees = [self.ring.wdeg(e) for e in self.terms]
+            degrees = [self.ring.monomial_degree(e) for e in self.terms]
             cached = (min(degrees), max(degrees)) if degrees else (math.inf, -math.inf)
             object.__setattr__(self, "_degrees", cached)
         return cached
 
     def degree(self):
-        """Weighted total degree; -inf for the zero polynomial."""
+        """Total degree; -inf for the zero polynomial."""
         return self._degree_range()[1]
-
-    def low_degree(self):
-        return self._degree_range()[0]
 
     def is_homogeneous(self) -> bool:
         low, high = self._degree_range()
@@ -496,11 +484,11 @@ def poly_eval(F: Polynomial, point: Sequence):
 
 
 def homogeneous_components(F: Polynomial) -> dict:
-    """Map weighted degree -> homogeneous part; degrees with zero part absent."""
+    """Map degree -> homogeneous part; degrees with zero part absent."""
     ring = F.ring
     buckets: dict = {}
     for exps, coeff in F.terms.items():
-        buckets.setdefault(ring.wdeg(exps), {})[exps] = coeff
+        buckets.setdefault(ring.monomial_degree(exps), {})[exps] = coeff
     return {d: Polynomial(ring, terms) for d, terms in sorted(buckets.items())}
 
 
@@ -554,8 +542,8 @@ def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:
     One Taylor shift per variable with a nonzero shift c (von zur Gathen &
     Gerhard 1997, "Fast algorithms for Taylor shifts and certain difference
     equations"): every term's power z_i^e expands as
-    (z_i + c)^e = Σ_k C(e,k)·c^(e−k)·z_i^k into one dict.  Weights play no
-    part, and no generic product is formed.
+    (z_i + c)^e = Σ_k C(e,k)·c^(e−k)·z_i^k into one dict, and no generic
+    product is formed.
 
     The shifts run on integers over one common denominator ``den``, for
     both fields.  Over Q, F starts as its numerators over the lcm of its
@@ -604,32 +592,23 @@ def translate_origin(F: Polynomial, point: Sequence) -> Polynomial:
     return Polynomial(ring, over_denominator(values, den, domain))
 
 
-def vanishing_order(F: Polynomial, point: Sequence):
-    """Order of vanishing at ``point``: least weighted degree with a nonzero
-    homogeneous part after translating the point to the origin.  0 when F
-    does not vanish there; ``math.inf`` for the zero polynomial."""
-    shifted = translate_origin(F, point)
-    return shifted.low_degree()
-
-
-def _exponents_of_weighted_degree(weights: Sequence[int], degree: int):
-    if not weights:
+def _exponents_of_degree(nvars: int, degree: int):
+    if not nvars:
         if degree == 0:
             yield ()
         return
-    w = weights[0]
-    for e in range(degree // w + 1):
-        for rest in _exponents_of_weighted_degree(weights[1:], degree - e * w):
+    for e in range(degree + 1):
+        for rest in _exponents_of_degree(nvars - 1, degree - e):
             yield (e,) + rest
 
 
 @functools.lru_cache(maxsize=256)
-def _monomials(weights: tuple, degree: int) -> tuple:
-    # All tuples share the weighted degree, so ``PolyRing.term_key`` orders
-    # them by its tie-break alone: the last differing exponent, smaller first.
+def _monomials(nvars: int, degree: int) -> tuple:
+    # All tuples share the degree, so ``PolyRing.term_key`` orders them by
+    # its tie-break alone: the last differing exponent, smaller first.
     return tuple(
         sorted(
-            _exponents_of_weighted_degree(weights, degree),
+            _exponents_of_degree(nvars, degree),
             key=lambda exps: tuple(-e for e in reversed(exps)),
             reverse=True,
         )
@@ -637,16 +616,16 @@ def _monomials(weights: tuple, degree: int) -> tuple:
 
 
 def monomials_of_degree(ring: PolyRing, degree: int) -> list:
-    """All exponent tuples of the given weighted degree, grevlex-descending.
+    """All exponent tuples of the given degree, grevlex-descending.
 
-    The order depends only on the weights, so the sorted tuples are cached
-    on (weights, degree); each call returns a fresh list.
+    The order depends only on the number of variables, so the sorted tuples
+    are cached on (nvars, degree); each call returns a fresh list.
     """
-    return list(_monomials(ring.weights, degree))
+    return list(_monomials(ring.nvars, degree))
 
 
 def random_homogeneous(ring: PolyRing, degree: int, seed: int) -> Polynomial:
-    """Deterministic random homogeneous polynomial of the given weighted degree.
+    """Deterministic random homogeneous polynomial of the given degree.
 
     Coefficients are uniform over F_p, or uniform over a fixed integer range
     for Q.  Degree 0 always yields a nonzero constant.

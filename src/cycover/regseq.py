@@ -24,7 +24,8 @@ a_i >= deg f_i); its rows are rows of the full matrix, so a nonsingular
 square matrix proves full column rank.  Only when it is singular (Macaulay's
 extraneous factor vanishes) are all multiples of all generators ranked.
 Over Q the forms are reduced modulo a large prime at which every
-coefficient is defined, and the elimination and the rank run on residues.  Non-homogeneous sequences and weighted rings are rejected.
+coefficient is defined, and the elimination and the rank run on residues.
+Non-homogeneous sequences are rejected.
 Both matrix shapes follow from the degrees alone, so a sequence whose
 matrices would pass MACAULAY_ENTRY_BUDGET entries is reported inconclusive
 before anything is built.
@@ -112,10 +113,6 @@ class IdealPresentation:
         object.__setattr__(self, "generators", gens)
 
 
-def ideal(ring: PolyRing, generators: Sequence[Polynomial]) -> IdealPresentation:
-    return IdealPresentation(ring, tuple(generators))
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced basis under graded reverse lexicographic order."""
@@ -162,7 +159,7 @@ def normal_form(
 
     def heap_key(exps: tuple) -> tuple:
         # Ascending order of this key is descending grevlex (term_key).
-        return (-ring.wdeg(exps), exps[::-1], exps)
+        return (-ring.monomial_degree(exps), exps[::-1], exps)
 
     work = dict(f.terms)
     pending = [heap_key(exps) for exps in work]
@@ -587,14 +584,14 @@ def _macaulay_positions(
     def codes(exponents) -> np.ndarray:
         return (np.array(exponents, dtype=np.int64) * place).sum(axis=1)
 
-    columns = _monomials((1,) * nvars, cap)
+    columns = _monomials(nvars, cap)
     column_codes = codes(columns)
     if square:
         d = np.array(degrees)
         form_of_row = np.argmax(np.array(columns) >= d, axis=1)
         shift_codes = column_codes - d[form_of_row] * place[form_of_row]
     else:
-        shifts = [_monomials((1,) * nvars, cap - d) for d in degrees]
+        shifts = [_monomials(nvars, cap - d) for d in degrees]
         form_of_row = np.repeat(np.arange(len(degrees)), [len(s) for s in shifts])
         shift_codes = np.concatenate([codes(s) for s in shifts])
     positions = []
@@ -658,9 +655,8 @@ def _pivot_plan(nvars: int, degrees: tuple) -> PivotPlan:
     and the indices are turned into envelope offsets once the envelope is
     known.
     """
-    ones = (1,) * nvars
     n, _, positions = _macaulay_positions(
-        nvars, degrees, [_monomials(ones, d) for d in degrees], square=True
+        nvars, degrees, [_monomials(nvars, d) for d in degrees], square=True
     )
     pattern = np.zeros((n, n), dtype=bool)
     first = np.empty(n, dtype=np.int64)
@@ -810,11 +806,7 @@ def _linear_images(linear_members: Sequence[Polynomial], ring: PolyRing):
     remaining = [i for i in range(n) if i not in pivots]
     if not remaining:
         return None
-    reduced_ring = ring_over(
-        tuple(ring.variables[i] for i in remaining),
-        domain,
-        tuple(ring.weights[i] for i in remaining),
-    )
+    reduced_ring = ring_over(tuple(ring.variables[i] for i in remaining), domain)
     position = {var: k for k, var in enumerate(remaining)}
     images = []
     for i in range(n):
@@ -854,7 +846,7 @@ def _certify_isolated_homogeneous(gens: Sequence[Polynomial], ring: PolyRing) ->
     """
     p = _rank_check_prime(gens, ring.domain)
     if not isinstance(ring.domain, PrimeField):
-        ring = ring_over(ring.variables, PrimeField(p), ring.weights)
+        ring = ring_over(ring.variables, PrimeField(p))
         gens = [g.map_domain(ring) for g in gens]
     members = [g for g in gens if not g.is_zero()]
     images = _linear_images([g for g in members if g.degree() == 1], ring)
@@ -928,11 +920,6 @@ def regular_at_origin(
             f"sequence of length {len(sequence)} cannot be regular in {n} variables"
         )
     domain = ring.domain
-    if any(w != 1 for w in ring.weights):
-        # The degree cap and Macaulay's pigeonhole both count plain degrees.
-        raise ValueError(
-            "regularity is certified only when every variable has weight 1"
-        )
     for g in sequence:
         if g.ring != ring:
             raise ValueError("sequence entries live in different rings")

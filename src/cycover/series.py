@@ -118,7 +118,7 @@ def _check_pieces(w: Sequence[Polynomial]) -> None:
 def phi_polynomials(w: Sequence[Polynomial], K: int, N: int) -> list:
     """Homogeneous pieces Φ_1..Φ_N of (1 + Σ w_j)^(1/K).
 
-    With P = (1 + W)^(1/K) and E the (weighted) Euler operator,
+    With P = (1 + W)^(1/K) and E the Euler operator,
     K·(1 + W)·E(P) = P·E(W); its degree-i piece is the recurrence
     K·i·Φ_i = Σ_{b=1..i} (b − K(i−b))·Φ_{i−b}·w_b with Φ_0 = 1, one
     homogeneous product per (i, b).  Each returned piece is homogeneous of

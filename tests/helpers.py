@@ -26,7 +26,7 @@ def series_parameter(domain: Domain, N: int) -> TruncatedSeries:
 
 def truncated_kth_root(w: Sequence[Polynomial], K: int, k: int) -> Polynomial:
     """Partial sum 1 + Φ_1 + ... + Φ_k; its K-th power matches 1 + Σ w_j
-    through weighted degree k."""
+    through degree k."""
     if k < 1:
         raise ValueError("truncation index must be at least 1")
     total = w[0].ring.one()

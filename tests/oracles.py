@@ -24,9 +24,14 @@ library by other means, so a test can compare the two:
   entry, as against the array scatter of ``cycover.regseq``;
 * polynomial text tokenized one character at a time, counting lines and
   columns as it goes, as against the one regex scan of
-  ``cycover.parsing._tokenize``.
+  ``cycover.parsing._tokenize``;
+* the order of vanishing at a point, read off the Taylor shift, as against
+  the orders along arcs and the K-th root pieces that ``cycover`` measures.
+
+``ideal`` builds the presentations these tests feed to the Groebner engine.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
@@ -39,7 +44,7 @@ from cycover.poly import (
     compose,
     monomials_of_degree,
     poly_mul,
-    ring_over,
+    translate_origin,
 )
 from cycover.regseq import (
     DEFAULT_PAIR_BUDGET,
@@ -60,6 +65,19 @@ _ELIMINATION_WEIGHT = 1 << 30
 
 
 # -- Groebner bases, intersections, quotients, saturation ----------------------
+
+
+def ideal(ring: PolyRing, generators: Sequence[Polynomial]) -> IdealPresentation:
+    return IdealPresentation(ring, tuple(generators))
+
+
+class _TaggedRing(PolyRing):
+    """A ring whose first variable, the tag t, adds _ELIMINATION_WEIGHT to
+    a monomial's degree per power: grevlex then ranks any monomial with t
+    above every monomial without it, an elimination order for t."""
+
+    def monomial_degree(self, exps) -> int:
+        return sum(exps) + _ELIMINATION_WEIGHT * exps[0]
 
 
 def is_groebner_basis(gb: GroebnerBasis) -> bool:
@@ -102,11 +120,7 @@ def ideal_intersection(
     ring = I.ring
     if J.ring != ring:
         raise ValueError("intersection across rings")
-    tagged = ring_over(
-        ("@t",) + ring.variables,
-        ring.domain,
-        (_ELIMINATION_WEIGHT,) + ring.weights,
-    )
+    tagged = _TaggedRing(("@t",) + ring.variables, ring.domain)
 
     def lift(p: Polynomial) -> Polynomial:
         return Polynomial(tagged, {(0,) + e: c for e, c in p.terms.items()})
@@ -300,28 +314,32 @@ def kth_root_degree_by_degree(c: TruncatedSeries, K: int) -> TruncatedSeries:
 # -- multivariate K-th roots, degree by degree ---------------------------------
 
 
+def vanishing_order(F: Polynomial, point: Sequence):
+    """Order of vanishing at ``point``: the least degree of a term after
+    translating the point to the origin.  0 when F does not vanish there;
+    ``math.inf`` for the zero polynomial."""
+    shifted = translate_origin(F, point)
+    return min((sum(exps) for exps in shifted.terms), default=math.inf)
+
+
 def truncate_degree(F: Polynomial, max_degree: int) -> Polynomial:
-    """F with every term of weighted degree above ``max_degree`` dropped."""
-    ring = F.ring
-    return Polynomial(ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) <= max_degree})
+    """F with every term of degree above ``max_degree`` dropped."""
+    return Polynomial(F.ring, {e: c for e, c in F.terms.items() if sum(e) <= max_degree})
 
 
 def homogeneous_component(F: Polynomial, degree: int) -> Polynomial:
-    """The terms of F of weighted degree exactly ``degree``."""
-    ring = F.ring
-    return Polynomial(
-        ring, {e: c for e, c in F.terms.items() if ring.wdeg(e) == degree}
-    )
+    """The terms of F of degree exactly ``degree``."""
+    return Polynomial(F.ring, {e: c for e, c in F.terms.items() if sum(e) == degree})
 
 
 def poly_mul_truncated(F: Polynomial, G: Polynomial, max_degree: int) -> Polynomial:
-    """Product with all terms of weighted degree > max_degree dropped."""
+    """Product with all terms of degree > max_degree dropped."""
     if F.ring != G.ring:
         raise RingMismatchError("polynomials belong to different rings")
     ring = F.ring
     domain = ring.domain
-    f_terms = [(e, c, ring.wdeg(e)) for e, c in F.terms.items()]
-    g_terms = [(e, c, ring.wdeg(e)) for e, c in G.terms.items()]
+    f_terms = [(e, c, sum(e)) for e, c in F.terms.items()]
+    g_terms = [(e, c, sum(e)) for e, c in G.terms.items()]
     result: dict = {}
     for e1, c1, d1 in f_terms:
         if d1 > max_degree:
@@ -340,7 +358,7 @@ def poly_mul_truncated(F: Polynomial, G: Polynomial, max_degree: int) -> Polynom
 
 
 def pow_truncated(F: Polynomial, e: int, bound: int) -> Polynomial:
-    """F^e through weighted degree ``bound``, by repeated squaring with
+    """F^e through degree ``bound``, by repeated squaring with
     every product clipped; degree truncation is a ring quotient map."""
     result = F.ring.one()
     base = truncate_degree(F, bound)

@@ -52,12 +52,10 @@ from cycover.poly import (
     PrimeField,
     random_homogeneous,
     ring_over,
-    vanishing_order,
 )
 from cycover.regseq import (
     CERTIFIED_REGULAR,
     REFUTED_AT_PREFIX,
-    ideal,
     ideal_dimension,
     regular_at_origin,
 )
@@ -73,7 +71,7 @@ from cycover.seeds import (
 from cycover.series import gamma_coefficients, phi_polynomials
 
 from helpers import shuffle
-from oracles import pow_truncated, truncate_degree
+from oracles import ideal, pow_truncated, truncate_degree, vanishing_order
 
 WORKHORSE = CoverFamily(
     dimension=5, base_degree=4, branch_weight=2, cover_degree=2

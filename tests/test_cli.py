@@ -454,20 +454,19 @@ class TestCertify:
         self, command, workhorse_file, monkeypatch, capsys
     ):
         # Roots that are not roots make the off-branch sampler's recheck
-        # fail.  That is an internal fault: a sampling-failure record and
-        # exit 3, never exit 1, which means "refuted".
+        # fail (ArithmeticError), and no roots at all exhaust its budget of
+        # lines (SampleBudgetError).  Neither refutes anything: each is a
+        # sampling-failure record and exit 3, never exit 1, which means
+        # "refuted".
         import cycover.cover
 
         def non_roots(coeffs, p, seed=0):
             value = lambda r: sum(c * pow(r, k, p) for k, c in enumerate(coeffs)) % p
             return [next(r for r in range(p) if value(r))]
 
-        monkeypatch.setattr(cycover.cover, "poly1_roots", non_roots)
-        argv = [workhorse_file if arg is None else arg for arg in command]
-        code, out, _ = run_cli(argv + ["--points-off", "1", "--points-on", "0"], capsys)
-        assert code == cli.EXIT_INCONCLUSIVE
-        doc = json.loads(out)
-        (record,) = doc["records"]
+        def no_roots(coeffs, p, seed=0):
+            return []
+
         # The whole record, keys in order: only a campaign record has a
         # trial, and its seeds name the instance too.
         if command[0] == "campaign":
@@ -479,15 +478,25 @@ class TestCertify:
         else:
             head = [("kind", "sampling-failure")]
             seeds = {"point": derive_seed(11, point=0, purpose=PURPOSE_POINT_OFF)}
-        assert list(record.items()) == head + [
-            ("point_index", 0),
-            ("source", "sampled-off"),
-            ("seeds", seeds),
-            ("reason", "sampled point fails re-verification"),
-            ("verdict", VERDICT_INCONCLUSIVE),
-        ]
-        assert list(record["seeds"]) == list(seeds)
-        assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
+        argv = [workhorse_file if arg is None else arg for arg in command]
+        for fault, reason in [
+            (non_roots, "sampled point fails re-verification"),
+            (no_roots, "no off-branch point found on 64 random lines"),
+        ]:
+            monkeypatch.setattr(cycover.cover, "poly1_roots", fault)
+            code, out, _ = run_cli(argv + ["--points-off", "1", "--points-on", "0"], capsys)
+            assert code == cli.EXIT_INCONCLUSIVE
+            doc = json.loads(out)
+            (record,) = doc["records"]
+            assert list(record.items()) == head + [
+                ("point_index", 0),
+                ("source", "sampled-off"),
+                ("seeds", seeds),
+                ("reason", reason),
+                ("verdict", VERDICT_INCONCLUSIVE),
+            ]
+            assert list(record["seeds"]) == list(seeds)
+            assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
 
     def test_conflicting_prime_override_rejected(self, workhorse_file, capsys):
         code, _, err = run_cli(

@@ -7,18 +7,14 @@ import pytest
 
 import cycover.cover
 from cycover.cover import (
-    ArcOrderRecord,
-    ChartLocalization,
     CoverInstance,
     LocalizationError,
     MultiplicityReport,
-    SampleBudgetError,
     UnsupportedInstanceError,
     admissible_hypertangent_levels,
     ambient_ring,
     arc_through_chart_origin,
     branch_truncation_check,
-    chart_ring,
     default_arc_order,
     default_prime,
     hypertangent_member,

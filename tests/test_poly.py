@@ -28,9 +28,8 @@ from cycover.poly import (
     random_homogeneous,
     ring_over,
     translate_origin,
-    vanishing_order,
 )
-from oracles import derivative, poly_mul_truncated, truncate_degree
+from oracles import derivative, poly_mul_truncated, truncate_degree, vanishing_order
 
 R2 = ring_over(("z1", "z2"))
 R1 = ring_over(("z1",))
@@ -79,27 +78,21 @@ class TestWorkedExamples:
         assert parts[2] == z1 * z2
         assert 3 not in parts
 
-    def test_weighted_degree(self):
-        ring = ring_over(("z", "y"), QQ, weights=(1, 3))
-        z, y = ring.gens()
-        assert (y * z).degree() == 4
-        assert y.degree() == 3
-        assert (y + z**3).is_homogeneous()
-
     def test_degree_queries_pass_over_the_terms_once(self):
-        # degree(), low_degree() and is_homogeneous() share one cached
-        # pass, one wdeg call per term, however often they are asked.
-        ring = ring_over(("z", "y"), QQ, weights=(1, 3))
+        # degree() and is_homogeneous() share one cached pass, one
+        # monomial_degree call per term, however often they are asked.
+        ring = ring_over(("z", "y"), QQ)
         z, y = ring.gens()
-        F = y * z + z**2 + ring.const(2)
-        with mock.patch.object(PolyRing, "wdeg", autospec=True, side_effect=PolyRing.wdeg) as wdeg:
+        F = y**3 * z + z**2 + ring.const(2)
+        with mock.patch.object(
+            PolyRing, "monomial_degree", autospec=True, side_effect=PolyRing.monomial_degree
+        ) as monomial_degree:
             for _ in range(3):
                 assert F.degree() == 4
-                assert F.low_degree() == 0
                 assert not F.is_homogeneous()
-        assert wdeg.call_count == len(F) == 3
+        assert monomial_degree.call_count == len(F) == 3
         zero = ring.zero()
-        assert zero.degree() == -math.inf and zero.low_degree() == math.inf
+        assert zero.degree() == -math.inf
         assert zero.is_homogeneous()
         with pytest.raises(AttributeError):
             F._degrees = None
@@ -203,26 +196,21 @@ class TestCanonicalForm:
             R2.gen(0).substitute([other.gen(0), other.gen(1)])
 
     def test_monomials_of_degree_counts(self):
-        # Unweighted: C(d + n - 1, n - 1) monomials of degree d in n variables.
+        # C(d + n - 1, n - 1) monomials of degree d in n variables.
         assert len(monomials_of_degree(R2, 4)) == 5
         ring3 = ring_over(("a", "b", "c"))
         assert len(monomials_of_degree(ring3, 3)) == 10
 
-    def test_monomials_of_degree_weighted(self):
-        ring = ring_over(("z", "y"), QQ, weights=(1, 3))
-        exps = monomials_of_degree(ring, 3)
-        assert set(exps) == {(3, 0), (0, 1)}
-
-    @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 1), (2, 1, 3, 1)])
-    def test_monomials_of_degree_sorted_by_term_key(self, weights):
+    @pytest.mark.parametrize("nvars", [1, 3, 4])
+    def test_monomials_of_degree_sorted_by_term_key(self, nvars):
         # The cached order must be the ring's own grevlex order.
-        ring = ring_over(tuple(f"v{i}" for i in range(len(weights))), QQ, weights=weights)
+        ring = ring_over(tuple(f"v{i}" for i in range(nvars)), QQ)
         for degree in range(7):
             expected = sorted(
                 (
                     e
-                    for e in itertools.product(range(degree + 1), repeat=len(weights))
-                    if ring.wdeg(e) == degree
+                    for e in itertools.product(range(degree + 1), repeat=nvars)
+                    if sum(e) == degree
                 ),
                 key=ring.term_key,
                 reverse=True,
@@ -298,8 +286,8 @@ def test_evaluation_is_ring_homomorphism(F, G, point):
     assert poly_eval(F * G, point) == poly_eval(F, point) * poly_eval(G, point)
 
 
-RW = ring_over(("u", "v", "w"), QQ, weights=(1, 2, 3))
-RWP = ring_over(("u", "v", "w"), PrimeField(101), weights=(1, 2, 3))
+RW = ring_over(("u", "v", "w"), QQ)
+RWP = ring_over(("u", "v", "w"), PrimeField(101))
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,8 +341,8 @@ def test_translate_preserves_evaluation(F, point):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_translate_matches_substitution(data):
-    # The Taylor shifts against the generic composition F(z + c), on
-    # weighted rings, with zero shifts mixed in.
+    # The Taylor shifts against the generic composition F(z + c), with zero
+    # shifts mixed in.
     ring = data.draw(st.sampled_from([RW, RWP]))
     F = data.draw(poly_strategy(ring, max_exp=4, max_terms=6))
     shift = COEFFS if ring is RW else st.integers(0, 100)
@@ -423,7 +411,7 @@ def test_translate_over_a_common_denominator_matches_substitution(domain, points
     # shifts with different denominators, so the running denominator grows
     # by b^E at every shift; in characteristic 2 and 3 the exponents reach
     # past p, so the binomial rows vanish in places mod p.
-    ring = ring_over(("u", "v", "w"), domain, weights=(1, 2, 3))
+    ring = ring_over(("u", "v", "w"), domain)
     u, v, w = ring.gens()
     F = (
         (u**5 * w**2).scale(Fraction(5, 2**61 - 1))

@@ -48,7 +48,6 @@ from cycover.regseq import (
     _reduced_row_echelon,
     _substitute_linear,
     groebner_basis,
-    ideal,
     ideal_dimension,
     normal_form,
     random_linear_cuts,
@@ -56,6 +55,7 @@ from cycover.regseq import (
 )
 from cycover.seeds import Rng, derive_seed
 from oracles import (
+    ideal,
     ideal_intersection,
     ideal_quotient_by,
     is_groebner_basis,
@@ -547,13 +547,6 @@ class TestRegularAtOrigin:
         a = regular_at_origin([z1 * z2, z1 * z3], seed=5)
         b = regular_at_origin([z1 * z2, z1 * z3], seed=5)
         assert a == b
-
-    def test_weighted_ring_rejected(self):
-        # The degree cap and Macaulay's pigeonhole assume weight 1.
-        ring = ring_over(("x", "y"), PrimeField(101), weights=(2, 3))
-        x, _ = ring.gens()
-        with pytest.raises(ValueError, match="weight 1"):
-            regular_at_origin([x**3, x**3])
 
 
 class TestCuts:

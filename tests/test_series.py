@@ -17,7 +17,6 @@ from cycover.poly import (
     monomials_of_degree,
     random_homogeneous,
     ring_over,
-    vanishing_order,
 )
 from cycover.seeds import Rng
 import cycover.series as series_module
@@ -58,6 +57,7 @@ from oracles import (
     pow_truncated,
     series_inverse,
     truncate_degree,
+    vanishing_order,
 )
 
 R2 = ring_over(("z1", "z2"))
@@ -204,7 +204,7 @@ def test_phi_routes_match_the_defining_identity(domain, scale):
     # oracle.  Over GF(p) it reduces mod p while p > N; from N = p on, p
     # divides d_i for i ≥ p, and it runs on unreduced integers and reduces
     # each piece through Fractions.
-    ring = ring_over(("z1", "z2", "z3"), domain, weights=(1, 1, 2))
+    ring = ring_over(("z1", "z2", "z3"), domain)
     p = domain.characteristic
     for K in range(2, 6):
         if p and K % p == 0:
