@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .modular import is_prime as _is_prime
 from .seeds import Rng

@@ -68,6 +68,7 @@ _ELIMINATION_WEIGHT = 1 << 30
 
 
 def ideal(ring: PolyRing, generators: Sequence[Polynomial]) -> IdealPresentation:
+    """The ideal that ``generators`` span in ``ring``."""
     return IdealPresentation(ring, tuple(generators))
 
 
