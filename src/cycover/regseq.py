@@ -25,6 +25,8 @@ square matrix proves full column rank.  Only when it is singular (Macaulay's
 extraneous factor vanishes) are all multiples of all generators ranked.
 Over Q the forms are reduced modulo a large prime at which every
 coefficient is defined, and the elimination and the rank run on residues.
+Residues below 2^31, as RANK_CHECK_PRIME's are, are stored in 4 bytes and
+widened for every product.
 Non-homogeneous sequences are rejected.
 Both matrix shapes follow from the degrees alone, so a sequence whose
 matrices would pass MACAULAY_ENTRY_BUDGET entries is reported inconclusive
@@ -82,7 +84,8 @@ DEFAULT_PAIR_BUDGET = 200_000
 RANK_CHECK_PRIME = 2_147_483_629
 # A cut draw whose Macaulay matrices would hold more entries than this, the
 # square one counted densely and the full one together, is refused before
-# either is built: 512 MiB as int64.  The square matrix is stored as its
+# either is built: 256 MiB at 4 bytes an entry, as entries are stored for
+# p < 2^31 (``_storage_dtype``).  The square matrix is stored as its
 # envelope, which never holds more than the dense count; the envelope's own
 # size needs the pivot plan.  (6,5,2,2)'s top prefix needs 1820^2 + 3421 *
 # 1820.
@@ -452,10 +455,19 @@ def _reduced_row_echelon(rows: list, domain: Domain) -> tuple:
     return mat[:r], pivots
 
 
-def _rank_dtype(p: int):
-    """int64 while a product of two residues fits, (p - 1)^2 < 2^63;
-    exact Python ints (object) for larger primes."""
+def _product_dtype(p: int):
+    """The dtype the rank checks compute in: int64 while a product of two
+    residues fits, (p - 1)^2 < 2^63; exact Python ints (object) beyond."""
     return np.int64 if (p - 1) ** 2 < 2**63 else object
+
+
+def _storage_dtype(p: int):
+    """The dtype the rank checks store residues in: int32 while they fit,
+    p < 2^31, else ``_product_dtype(p)``.  Entries are cast to
+    ``_product_dtype(p)`` before any product or sum is formed, as an int32
+    array times a Python int stays int32 and wraps; reduced mod p, the
+    results fit the storage again."""
+    return np.int32 if p < 2**31 else _product_dtype(p)
 
 
 class PivotPlan(NamedTuple):
@@ -466,10 +478,12 @@ class PivotPlan(NamedTuple):
     columns ``first[r]`` to ``last[r]``, which hold every entry the row has
     at any step of the elimination, and entry (r, c) sits at ``offset[r] +
     c``.  ``steps`` holds one (pivot, its row's offset, hot end, support end)
-    per pivot, in order: pivot k updates the rows whose offsets are
-    ``hot[previous hot end:hot end]`` (an (h, 1) array) in the columns
-    ``support[previous support end:support end]``.  Both exclude k and the
-    pivots before it.  Every index is int64.
+    per pivot, in order.  Pivot k updates the rows whose column-k entries
+    sit at ``hot[previous hot end:hot end]`` (an (h, 1) array), in the
+    columns whose entries in row k sit at ``support[previous support
+    end:support end]``; both exclude k and the pivots before it.  So with
+    ``row`` its row's offset, the entries updated sit at ``hot - (row + k) +
+    support``.  Every index is int64.
     """
 
     steps: tuple
@@ -485,7 +499,7 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
     """Gaussian elimination mod p that touches only nonzero entries.
 
     ``rows`` is a 2-D array, eliminated in place when its dtype is the one
-    ``_rank_dtype(p)`` names, or a list of equal-length int lists.  Each
+    ``_storage_dtype(p)`` names, or a list of equal-length int lists.  Each
     pivot updates only the rows with a nonzero in its column, and in them
     only the columns where the pivot row is nonzero (structured Gaussian
     elimination, LaMacchia & Odlyzko 1990).  It ranks the full Macaulay
@@ -494,7 +508,8 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
     """
     if len(rows) < ncols:
         return False
-    mat = np.asarray(rows, dtype=_rank_dtype(p))
+    wide = _product_dtype(p)
+    mat = np.asarray(rows, dtype=_storage_dtype(p))
     for c in range(ncols):
         below = np.flatnonzero(mat[c:, c])
         if below.size == 0:
@@ -505,10 +520,16 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
         hot = c + below[1:]
         if hot.size:
             # Row c is never read again, so its scaled copy stays local.
+            # Entries are widened before any product (``_storage_dtype``).
             support = c + np.flatnonzero(mat[c, c:])
-            scaled = mat[c, support] * pow(int(mat[c, c]), p - 2, p) % p
+            scaled = mat[c, support].astype(wide, copy=False)
+            scaled *= p - pow(int(mat[c, c]), -1, p)
+            scaled %= p
             block = (hot[:, None], support)
-            mat[block] = (mat[block] - mat[hot, c][:, None] * scaled) % p
+            updated = mat[hot, c][:, None].astype(wide, copy=False) * scaled
+            updated += mat[block].astype(wide, copy=False)
+            updated %= p
+            mat[block] = updated.astype(mat.dtype, copy=False)
     return True
 
 
@@ -517,16 +538,17 @@ def _envelope_is_nonsingular(envelope: np.ndarray, plan: PivotPlan, p: int) -> b
     nonsingular mod p; the envelope is eliminated in place.
 
     The diagonal pivots come in the plan's order, each with one scalar read
-    and one take, update and put over the rows and columns the plan lists,
-    all inside those rows' envelopes.  When every pivot is nonzero the
+    and one gather, update and scatter over the rows and columns the plan
+    lists, all inside those rows' envelopes.  When every pivot is nonzero the
     matrix is nonsingular.  At the first that vanishes, the rows and columns
     of the pivots left hold the Schur complement of those done, which is
     singular exactly when the matrix is: it is read out densely, zero
     outside each row's envelope, and ``_has_full_column_rank`` ranks it.
     """
+    wide = _product_dtype(p)
     hot_at = support_at = 0
     for done, (k, row, hot_end, support_end) in enumerate(plan.steps):
-        pivot = int(envelope[row + k])
+        pivot = envelope.item(row + k)
         if pivot == 0:
             rest = np.array([step[0] for step in plan.steps[done:]])
             rows, columns = np.nonzero(
@@ -538,10 +560,16 @@ def _envelope_is_nonsingular(envelope: np.ndarray, plan: PivotPlan, p: int) -> b
         if hot_end > hot_at:
             hot = plan.hot[hot_at:hot_end]
             support = plan.support[support_at:support_end]
-            scaled = envelope.take(row + support) * pow(pivot, p - 2, p) % p
-            block = hot + support
-            updated = envelope.take(block) - envelope.take(hot + k) * scaled
-            envelope.put(block, updated % p)
+            # Entries are widened before any product (``_storage_dtype``).
+            scaled = envelope.take(support).astype(wide, copy=False)
+            scaled *= p - pow(pivot, -1, p)
+            scaled %= p
+            block = hot - (row + k) + support
+            updated = envelope.take(hot).astype(wide, copy=False) * scaled
+            updated += envelope.take(block).astype(wide, copy=False)
+            updated %= p
+            # A same-dtype fancy store is faster than put() or a casting store.
+            envelope[block] = updated.astype(envelope.dtype, copy=False)
         hot_at, support_at = hot_end, support_end
     return True
 
@@ -611,7 +639,7 @@ def _macaulay_matrix(forms: Sequence[Polynomial], p: int) -> np.ndarray:
     nrows, ncols, positions = _macaulay_positions(
         nvars, degrees, [list(g.terms) for g in forms], square=False
     )
-    dtype = _rank_dtype(p)
+    dtype = _storage_dtype(p)
     mat = np.zeros((nrows, ncols), dtype=dtype)
     for g, (rows, columns) in zip(forms, positions):
         mat[rows[:, None], columns] = np.array(list(g.terms.values()), dtype=dtype)
@@ -629,13 +657,26 @@ def _macaulay_envelope(
     _, _, positions = _macaulay_positions(
         nvars, degrees, [list(g.terms) for g in forms], square=True
     )
-    dtype = _rank_dtype(p)
+    dtype = _storage_dtype(p)
     envelope = np.zeros(plan.size, dtype=dtype)
     for g, (rows, columns) in zip(forms, positions):
         envelope[plan.offset[rows, None] + columns] = np.array(
             list(g.terms.values()), dtype=dtype
         )
     return envelope
+
+
+def _append(buffer: np.ndarray, end: int, values: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``values`` written from ``end`` on: the same array,
+    or when it is too short a copy of its first ``end`` entries in one
+    twice as long (or as long as needed)."""
+    stop = end + values.size
+    if stop > buffer.size:
+        grown = np.empty(max(2 * buffer.size, stop), dtype=buffer.dtype)
+        grown[:end] = buffer[:end]
+        buffer = grown
+    buffer[end:stop] = values
+    return buffer
 
 
 @functools.lru_cache(maxsize=32)
@@ -669,10 +710,10 @@ def _pivot_plan(nvars: int, degrees: tuple) -> PivotPlan:
     row_count = pattern.sum(axis=1)
     column_count = pattern.sum(axis=0)
     steps = np.zeros((n, 3), dtype=np.int64)
-    # Pivot i updates at most n - 1 - i rows and columns.  Only the pages
-    # written become resident, and nothing kept is allocated in the loop.
-    hots = np.empty(n * (n - 1) // 2, dtype=np.int32)
-    supports = np.empty(n * (n - 1) // 2, dtype=np.int32)
+    # The pivots' hot rows and support columns, back to back in buffers
+    # that double when full, so they grow with the fill.
+    hots = np.empty(n, dtype=np.int32)
+    supports = np.empty(n, dtype=np.int32)
     hot_end = support_end = 0
     for i in range(n):
         k = int(np.argmin((row_count - 1) * (column_count - 1)))
@@ -691,8 +732,8 @@ def _pivot_plan(nvars: int, degrees: tuple) -> PivotPlan:
             pattern[block] = True
             first[hot] = np.minimum(first[hot], support[0])
             last[hot] = np.maximum(last[hot], support[-1])
-            hots[hot_end : hot_end + hot.size] = hot
-            supports[support_end : support_end + support.size] = support
+            hots = _append(hots, hot_end, hot)
+            supports = _append(supports, support_end, support)
             hot_end += hot.size
             support_end += support.size
         else:
@@ -704,10 +745,16 @@ def _pivot_plan(nvars: int, degrees: tuple) -> PivotPlan:
     width = last - first + 1
     offset = np.cumsum(width) - width - first
     pivots = steps[:, 0]
+    # Each pivot's hot rows become the addresses of their entries in its
+    # column, and its support columns those of its own row's entries.
+    hot = offset[hots[:hot_end]]
+    hot += np.repeat(pivots, np.diff(steps[:, 1], prepend=0))
+    support = supports[:support_end].astype(np.int64)
+    support += np.repeat(offset[pivots], np.diff(steps[:, 2], prepend=0))
     return PivotPlan(
         tuple(zip(pivots.tolist(), offset[pivots].tolist(), *steps[:, 1:].T.tolist())),
-        offset[hots[:hot_end], None],
-        supports[:support_end].astype(np.int64),
+        hot[:, None],
+        support,
         first,
         last,
         offset,

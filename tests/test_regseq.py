@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycover import regseq
+from cycover.modular import is_prime
 from cycover.poly import (
     Polynomial,
     PrimeField,
@@ -865,6 +866,7 @@ def planned_elimination(forms, p, plan):
     handed = []
 
     def search(rows, ncols, p):
+        assert rows.dtype == envelope.dtype
         handed.append(rows.tolist())
         return _has_full_column_rank(rows, ncols, p)
 
@@ -873,6 +875,41 @@ def planned_elimination(forms, p, plan):
         decision = _envelope_is_nonsingular(envelope, plan, p)
     assert len(handed) <= 1
     return decision, (handed[0] if handed else None)
+
+
+# One prime per storage class: the largest below 2^31 (4-byte entries), one
+# above it (int64) and one whose products pass int64 (Python ints).
+STORAGE_CLASSES = ((2**31 - 1, np.int32), (2**31 + 11, np.int64), (2**61 - 1, object))
+
+
+@pytest.mark.parametrize("p, dtype", STORAGE_CLASSES, ids=["int32", "int64", "object"])
+def test_each_storage_class_matches_rref(p, dtype):
+    # Residues near p make every product pass 2^32, so narrow arithmetic
+    # would wrap.  Common-zero forms give a singular square matrix, whose
+    # Schur complement goes to the search, and a rank-deficient full matrix.
+    assert is_prime(p)
+    nvars, degrees = 3, (2, 3, 2)
+    plan = _pivot_plan(nvars, degrees)
+    decisions = []
+    for kind, seed in (("dense", 7), ("dense", 8), ("common-zero", 7), ("common-zero", 8)):
+        forms = square_case_forms(p, nvars, degrees, kind, seed)
+        field = PrimeField(p)
+        square = _macaulay_envelope(forms, p, plan)
+        full = _macaulay_matrix(forms, p)
+        assert square.dtype == dtype and full.dtype == dtype
+        rows = macaulay_rows_by_lists(forms, p, square=True)
+        square_full_rank = len(_reduced_row_echelon(rows, field)[1]) == len(rows)
+        decision, schur = planned_elimination(forms, p, plan)
+        assert decision == square_full_rank
+        oracle = schur_by_lists(rows, plan, p)
+        assert schur == (None if oracle is None else oracle[1])
+        columns = full.shape[1]
+        full_rank = len(_reduced_row_echelon(full.tolist(), field)[1]) == columns
+        before = full.copy()
+        assert _has_full_column_rank(full, columns, p) == full_rank
+        assert not np.array_equal(full, before)  # eliminated in place
+        decisions.append((decision, full_rank))
+    assert decisions == [(True, True)] * 2 + [(False, False)] * 2
 
 
 @settings(max_examples=90, deadline=None)
@@ -938,7 +975,8 @@ def test_pivot_plan_is_cached_per_shape():
     _pivot_plan(3, (2, 3, 2))
     assert _pivot_plan.cache_info().hits == hits + 1
     # One step per diagonal pivot, each pivot once with its row's offset,
-    # updating only pivots still to come; int64 indices.
+    # updating only pivots still to come: its column in their rows, their
+    # columns in its row; int64 indices.
     n, _ = _macaulay_shape(3, (2, 3, 2))
     assert sorted(k for k, _, _, _ in plan.steps) == list(range(n))
     assert all(row == plan.offset[k] for k, row, _, _ in plan.steps)
@@ -947,10 +985,10 @@ def test_pivot_plan_is_cached_per_shape():
     assert plan.hot.shape == (plan.steps[-1][2], 1)
     assert plan.support.shape == (plan.steps[-1][3],)
     hot_at = support_at = 0
-    for done, (k, _, hot_end, support_end) in enumerate(plan.steps):
+    for done, (k, row, hot_end, support_end) in enumerate(plan.steps):
         later = [step[0] for step in plan.steps[done + 1 :]]
-        assert set(plan.hot[hot_at:hot_end, 0]) <= set(plan.offset[later])
-        assert set(plan.support[support_at:support_end]) <= set(later)
+        assert set(plan.hot[hot_at:hot_end, 0] - k) <= set(plan.offset[later])
+        assert set(plan.support[support_at:support_end] - row) <= set(later)
         hot_at, support_at = hot_end, support_end
 
 
@@ -974,8 +1012,8 @@ def test_plan_reads_and_writes_inside_the_envelope(nvars, degrees):
     touched = []
     hot_at = support_at = 0
     for i, (k, row, hot_end, support_end) in enumerate(plan.steps):
-        hot = plan.hot[hot_at:hot_end, 0]
-        columns = np.append(plan.support[support_at:support_end], k)
+        hot = plan.hot[hot_at:hot_end, 0] - k
+        columns = np.append(plan.support[support_at:support_end] - row, k)
         touched.append((np.full(columns.size, row), columns, range(i, i + 1)))
         hot_columns = np.tile(columns, hot.size)
         touched.append((np.repeat(hot, columns.size), hot_columns, range(i + 1, n)))
@@ -1013,10 +1051,11 @@ def test_square_check_runs_the_cached_plan():
     assert searched == [(26, 21)]
 
 
-def test_square_check_stays_within_half_a_dense_matrix():
+def test_square_check_stays_within_a_quarter_of_a_dense_matrix():
     # A dense system of (6,5,2,2)'s top-prefix shape: 1820 x 1820 square
-    # matrix, 26.5 MB as dense int64.  Its plan is built beforehand, as a
-    # campaign builds it once.
+    # matrix, 26.5 MB as dense int64; its envelope of 1,077,719 entries is
+    # 4.3 MB at 4 bytes each.  Its plan is built beforehand, as a campaign
+    # builds it once.
     degrees = (2, 3, 4, 3, 4)
     _pivot_plan(5, degrees)
     ring = ring_over(tuple(f"z{k}" for k in range(5)), PrimeField(1_000_003))
@@ -1029,7 +1068,21 @@ def test_square_check_stays_within_half_a_dense_matrix():
     finally:
         tracemalloc.stop()
     assert checks == [(1820, 1820, True)]
-    assert peak < 1820**2 * 8 / 2
+    assert peak < 1820**2 * 8 / 4
+
+
+def test_planner_memory_grows_with_the_fill():
+    # The same shape's plan: its boolean pattern is 1820^2 bytes (3.3 MB),
+    # and buffers reserved for n(n - 1)/2 hot rows and support columns
+    # would take 6.6 MB each.  The unwrapped planner leaves the cache alone.
+    tracemalloc.start()
+    try:
+        plan = _pivot_plan.__wrapped__(5, (2, 3, 4, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.size == 1_077_719
+    assert peak < 8_000_000
 
 
 def test_macaulay_shape_is_predicted_and_budgeted():
@@ -1098,7 +1151,8 @@ def test_macaulay_matrix_matches_list_oracle(domain, nvars, degrees, seed):
     # The matrix takes residues; the oracle reduces the forms itself.
     residues = ring_over(ring.variables, PrimeField(p))
     reduced = [g.map_domain(residues) for g in forms]
-    dtype = object if p == 2**61 - 1 else np.int64
+    # 4-byte residues below 2^31, as over Q at RANK_CHECK_PRIME.
+    dtype = object if p == 2**61 - 1 else np.int32
     matrix = _macaulay_matrix(reduced, p)
     assert matrix.dtype == dtype
     assert matrix.tolist() == macaulay_rows_by_lists(forms, p, square=False)
