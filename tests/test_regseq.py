@@ -890,10 +890,10 @@ def test_each_storage_class_matches_rref(p, dtype):
     assert is_prime(p)
     nvars, degrees = 3, (2, 3, 2)
     plan = _pivot_plan(nvars, degrees)
+    field = PrimeField(p)
     decisions = []
     for kind, seed in (("dense", 7), ("dense", 8), ("common-zero", 7), ("common-zero", 8)):
         forms = square_case_forms(p, nvars, degrees, kind, seed)
-        field = PrimeField(p)
         square = _macaulay_envelope(forms, p, plan)
         full = _macaulay_matrix(forms, p)
         assert square.dtype == dtype and full.dtype == dtype
