@@ -526,7 +526,7 @@ def _has_full_column_rank(rows, ncols: int, p: int) -> bool:
             scaled *= p - pow(int(mat[c, c]), -1, p)
             scaled %= p
             block = (hot[:, None], support)
-            updated = mat[hot, c][:, None] * scaled  # wide, as scaled is
+            updated = mat[hot, c][:, None].astype(wide, copy=False) * scaled
             updated += mat[block].astype(wide, copy=False)
             updated %= p
             mat[block] = updated.astype(mat.dtype, copy=False)
@@ -565,7 +565,7 @@ def _envelope_is_nonsingular(envelope: np.ndarray, plan: PivotPlan, p: int) -> b
             scaled *= p - pow(pivot, -1, p)
             scaled %= p
             block = hot - (row + k) + support
-            updated = envelope.take(hot) * scaled  # wide, as scaled is
+            updated = envelope.take(hot).astype(wide, copy=False) * scaled
             updated += envelope.take(block).astype(wide, copy=False)
             updated %= p
             # A same-dtype fancy store is faster than put() or a casting store.
