@@ -355,6 +355,14 @@ def check_point(
         order = options.arc_order or default_arc_order(max_threshold)
     else:
         levels = list(admissible_hypertangent_levels(family))
+        if not levels:
+            # Base degree 1: no hypertangent level exists off the branch, so
+            # no arcs are drawn and the regularity verdict stands.
+            record["arc_order"] = None
+            record["order_checks"] = checks
+            record["verdict"] = worst_verdict(verdicts)
+            record["seconds"] = time.perf_counter() - start
+            return record
         order = options.arc_order or default_arc_order(levels[-1])
     record["arc_order"] = order
     try:

@@ -59,6 +59,7 @@ from .seeds import (
 from .series import (
     Arc,
     OrderResult,
+    SeriesAssignment,
     TruncatedSeries,
     arc_lift,
     compose_series,
@@ -692,7 +693,9 @@ def _arc_components(chart: ChartLocalization, solved: int, rng: Rng, N: int) -> 
 def _arc_off_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
     fam = chart.family
     solved = _solved_variable(chart.base_piece(1))
-    components = _arc_components(chart, solved, Rng(derive_seed(seed, purpose=PURPOSE_ARC)), N)
+    rng = Rng(derive_seed(seed, purpose=PURPOSE_ARC))
+    # One assignment, so the recheck below composes on the branch's table.
+    components = SeriesAssignment(_arc_components(chart, solved, rng, N))
     composed_branch = poly_on_series(chart.localized_branch, components)
     y = series_kth_root(composed_branch, fam.cover_degree)
     base_residual = poly_on_series(chart.localized_base, components)
@@ -701,8 +704,7 @@ def _arc_off_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
     cover_residual = y.pow_int(fam.cover_degree) - composed_branch
     if cover_residual.order() is not None:
         raise ArithmeticError("cover component leaves a nonzero branch residual")
-    components[COVER_VARIABLE] = y
-    return Arc(components, {"base": N + 1, "cover": N + 1})
+    return Arc({**components, COVER_VARIABLE: y}, {"base": N + 1, "cover": N + 1})
 
 
 def _in_t(s: TruncatedSeries, K: int, N: int, shift: int = 0) -> TruncatedSeries:

@@ -11,22 +11,28 @@ Two closely related expansions live here:
 All arithmetic is exact (rationals or a prime field); truncation order is
 explicit everywhere and results never claim precision beyond it.
 
-Composing a polynomial with series (``compose_series``) runs on one packed
-kernel over plain ints for both fields (``_compose_integers``).  Each series
-is packed into one Python int, w bits per coefficient (Kronecker
-substitution; Schönhage 1982; Harvey 2009, "Faster polynomial
-multiplication via multipoint Kronecker substitution"): a product is one
-big-int product masked to its low slots.  The kernel strips each series'
-t-order, skips the terms of F that vanish mod t^(N+1), and truncates every
-other term at N minus its order.  Slots are signed; over GF(p) they hold
-canonical residues and are reduced mod p once, when unpacked.
-``_slot_bytes`` states the width that keeps every slot exact.  Over Q each
-image's own denominator is cleared (``_compose_fractional``): the terms are
-grouped by their exponents on the images with denominators, each group is
-composed over the integral images at their narrow width, and the groups
-are combined at the width ``_combine_bytes`` states.  On an off-branch arc
-only the lifted image has denominators, so nearly all the work stays a few
-bytes wide.
+Composing a polynomial with series runs on one packed kernel over plain
+ints for both fields.  Each series is packed into one Python int, w bits
+per coefficient (Kronecker substitution; Schönhage 1982; Harvey 2009,
+"Faster polynomial multiplication via multipoint Kronecker
+substitution"): a product is one big-int product masked to its low slots.
+The kernel is a monomial table per tuple of images (``MonomialTable``,
+over ``_PackedMonomials``).  It strips each image's t-order and forms each
+monomial some polynomial reaches once, as its parent times one stripped
+image, truncated at N minus the monomial's t-order; monomials past t^N are
+skipped.  A term then costs one scalar product and one add.  Every caller
+that composes several polynomials on one tuple keeps one table:
+``arc_lift`` across its parts, and a ``SeriesAssignment``, such as an
+``Arc``'s components, across every ``poly_on_series`` on it.  Slots are
+signed; over GF(p) they hold canonical residues and are reduced mod p
+once, when unpacked.  ``_slot_bytes`` states the width that keeps every
+slot exact, and a table is repacked when a wider polynomial comes.  Over Q
+each image's own denominator is cleared
+(``MonomialTable._compose_fractional``): the terms are grouped by their
+exponents on the images with denominators, each group is composed on the
+table of the integral images at their narrow width, and the groups are
+combined at the width ``_combine_bytes`` states.  On an off-branch arc only the lifted image has denominators, so
+nearly all the work stays a few bytes wide.
 
 Newton lifting (``_newton_lift``, behind ``arc_lift`` and
 ``series_kth_root``) runs one packed kernel in both fields too: its Horner
@@ -36,12 +42,13 @@ the residual and the slope are unpacked, once per step.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .poly import (
     Domain,
@@ -318,7 +325,7 @@ def _slot_bytes(T: int, C: int, A: int, d: int, N: int) -> int:
     """Bytes per slot that keep a packed composition truncated at t^N exact:
     T terms with integer coefficients of absolute value at most C and
     exponent sums at most d, at integer images whose coefficients are at
-    most A in absolute value.
+    most A ≥ 1 in absolute value.
 
     One slot of a truncated product sums at most N + 1 products of a slot
     of each factor, so a product of e images has slots of at most
@@ -327,7 +334,8 @@ def _slot_bytes(T: int, C: int, A: int, d: int, N: int) -> int:
     B = T·C·A^d·(N + 1)^max(d−1, 0) in absolute value, and so is every
     slot of a sum of some of the terms.  A width of bit_length(B) bits plus
     a sign bit holds each such slot as a balanced residue, in
-    [−2^(w−1), 2^(w−1)).  Over GF(p), C and A are at most p − 1.
+    [−2^(w−1), 2^(w−1)).  Over GF(p) the canonical residues are below p,
+    so C = A = p − 1 serve every composition with no scan.
     """
     bound = T * C * A**d * (N + 1) ** max(d - 1, 0)
     return (bound.bit_length() + 1 + 7) // 8
@@ -352,18 +360,6 @@ def _unpack_signed(value: int, width: int, slots: int) -> list:
     half = 1 << (8 * width - 1)
     raw = (value + _bias(width, slots)).to_bytes(width * slots, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
-
-
-def _reaching_terms(terms: Iterable[tuple], orders: Sequence[int], N: int) -> list:
-    """(α, c, o) for each term (α, c) whose t-order o = Σ α_i·v_i, with
-    v_i the order of image i, is at most N; the others vanish mod
-    t^(N+1)."""
-    out = []
-    for exps, c in terms:
-        o = sum(map(mul, exps, orders))
-        if o <= N:
-            out.append((exps, c, o))
-    return out
 
 
 def _settle(sums: Sequence[int], masks: Sequence[int], width: int, N: int) -> list:
@@ -391,47 +387,100 @@ def _balanced(value: int, mask: int) -> int:
     return ((value + half) & mask) - half
 
 
-def _compose_integers(
-    terms: Sequence[tuple], images: Sequence[Sequence[int]], orders: Sequence[int], N: int
-) -> list:
-    """Coefficients through t^N of Σ c·Π_i z_i(t)^(α_i) over the integers,
-    by Kronecker substitution, for ``terms`` (α, c, o) from
-    ``_reaching_terms`` and ``images`` z_i of t-order v_i = ``orders[i]``,
-    given by their coefficients 0..N or beyond.
+@lru_cache(maxsize=4096)
+def _parent(exps: tuple) -> tuple:
+    """(α − e_i, i) for the last i with α_i > 0.  Cached, since every table
+    an arc composes on forms the same monomials again."""
+    i = len(exps) - 1
+    while not exps[i]:
+        i -= 1
+    return exps[:i] + (exps[i] - 1,) + exps[i + 1 :], i
 
-    A term of order o only reaches the slots o..N.  It is formed from
-    cached powers of the stripped images z_i/t^(v_i), truncated mod
-    t^(N+1−o), that is, masked to its low N + 1 − o slots.  Terms of one
-    order are summed, and ``_settle`` adds the sums in at their orders:
-    with ``_slot_bytes`` wide slots, every such sum fits.
+
+class _PackedMonomials:
+    """The monomials Π_i (z_i/t^(v_i))^(α_i) of integer images z_i, each
+    of t-order v_i, that some composition has reached: one table per image
+    tuple, shared by every polynomial composed on it.
+
+    A monomial of t-order o = Σ α_i·v_i is packed ``width`` bytes per slot
+    and known mod t^(N+1−o), that is, masked to its low N + 1 − o slots.
+    The table starts at the constant monomial and grows lazily: a new
+    monomial is its parent, one power of its last variable fewer, times
+    that variable's stripped image, masked at its own order.  So each
+    monomial costs one big-int product once, whatever its degree, and a
+    term costs one scalar product and one add.  A monomial of order above
+    N vanishes mod t^(N+1) and is stored as ().
+
+    Truncation mod 2^(w(N+1−o)) is a ring map, so the entries need not fit
+    their slots; only the sums ``compose`` settles must, at the width
+    ``_slot_bytes`` states.  ``reserve`` repacks the images and empties the
+    table when a composition needs wider slots than it has.
     """
-    if not terms:
-        return [0] * (N + 1)
-    width = _slot_bytes(
-        len(terms),
-        max(abs(c) for _, c, _ in terms),
-        max((abs(x) for z in images for x in z), default=0),
-        max(sum(exps) for exps, _, _ in terms),
-        N,
-    )
-    bits = 8 * width
-    masks = [(1 << (bits * (N + 1 - o))) - 1 for o in range(N + 1)]
-    powers: list = [None] * len(images)  # powers[i][e] = (z_i/t^(v_i))^e
-    sums = [0] * (N + 1)
-    for exps, c, o in terms:
-        mask = masks[o]
-        term = c
-        for i, e in enumerate(exps):
-            if e:
-                v = orders[i]
-                chain = powers[i]
-                if chain is None:
-                    chain = powers[i] = [1, _pack_signed(images[i][v:], width) & masks[v]]
-                while len(chain) <= e:
-                    chain.append(chain[-1] * chain[1] & masks[len(chain) * v])
-                term = term * (chain[e] & mask) & mask
-        sums[o] += term
-    return _settle(sums, masks, width, N)
+
+    def __init__(self, images: Sequence[Sequence[int]], orders: Sequence[int], N: int, top: int):
+        self.images = images  # coefficients 0..N
+        self.orders = orders
+        self.N = N
+        self.top = top  # the largest |coefficient| of an image
+        self.width = 0
+        self.masks: list = []  # masks[o]: the low N + 1 − o slots
+        self.stripped: list = []  # z_i/t^(v_i), masked at v_i
+        self.entries: dict = {}  # α ↦ (o, packed monomial), or ()
+
+    def reserve(self, width: int) -> None:
+        """Repack at ``width`` bytes per slot if the slots are narrower."""
+        if width <= self.width:
+            return
+        N = self.N
+        bits = 8 * width
+        masks = [(1 << (bits * (N + 1 - o))) - 1 for o in range(N + 1)]
+        self.width, self.masks = width, masks
+        self.stripped = [
+            _pack_signed(z[v:], width) & masks[v] if v <= N else 0
+            for z, v in zip(self.images, self.orders)
+        ]
+        self.entries = {(0,) * len(self.images): (0, 1)}
+
+    def _monomial(self, exps: tuple) -> tuple:
+        """Form α from its parent.  The ancestors the table lacks are formed
+        first, lowest degree up, so no call nests more than once."""
+        entries = self.entries
+        parent, i = _parent(exps)
+        entry = entries.get(parent)
+        if entry is None:
+            missing = [parent]
+            while (lower := _parent(missing[-1])[0]) not in entries:
+                missing.append(lower)
+            for ancestor in reversed(missing):
+                entry = self._monomial(ancestor)
+        if entry:
+            o = entry[0] + self.orders[i]
+            if o <= self.N:
+                mask = self.masks[o]
+                entry = (o, (entry[1] & mask) * (self.stripped[i] & mask) & mask)
+            else:
+                entry = ()
+        entries[exps] = entry
+        return entry
+
+    def compose(self, terms: Iterable[tuple], n: int) -> list:
+        """The signed slots 0..n, n ≤ N, of Σ c·Π_i z_i^(α_i) for integer
+        terms (α, c), whose sums fit the reserved width.
+
+        Terms of one order are summed, and ``_settle`` adds the sums in at
+        their orders, each known mod t^(n+1−o); the sums of orders above n
+        are dropped.
+        """
+        entries = self.entries
+        sums = [0] * (self.N + 1)
+        for exps, c in terms:
+            entry = entries.get(exps)
+            if entry is None:
+                entry = self._monomial(exps)
+            if entry:
+                o, monomial = entry
+                sums[o] += c * monomial
+        return _settle(sums[: n + 1], self.masks[self.N - n :], self.width, n)
 
 
 def _combine_bytes(groups: int, H: int, S: int, m: int, N: int) -> int:
@@ -463,74 +512,155 @@ def _picker(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-def _compose_fractional(
-    terms: Sequence[tuple],
-    images: Sequence[Sequence[int]],
-    orders: Sequence[int],
-    dens: Sequence[int],
-    N: int,
-) -> tuple:
-    """(slots, E) with slots/E the coefficients through t^N of
-    Σ c·Π_i z_i^(α_i), for ``terms`` (α, c, o) with integer c and images
-    z_i = Z_i/D_i, given by their integer numerators Z_i and denominators
-    D_i = ``dens[i]``.
+class MonomialTable:
+    """Composes polynomials with one tuple of series, one per variable in
+    ring order, truncated at t^N, on monomials that every polynomial
+    composed on it shares.
 
-    The terms are grouped by their exponents β on the fractional images,
-    those with D_j > 1.  A group is G_β·Π_j z_j^(β_j), where G_β holds the
-    group's terms over the integral images alone, so ``_compose_integers``
-    forms it at the narrow width those images need, truncated at N − o_β
-    for o_β = Σ_j β_j·v_j, the t-order of the group's fractional part.
-    With m_j the largest β_j, the groups are combined as
-    Σ_β G_β·Π_j Z_j^(β_j)·D_j^(m_j − β_j), on cached powers of the stripped
-    Z_j at the width ``_combine_bytes`` states, over E = Π_j D_j^(m_j).
+    The series are cleared of denominators once.  Over GF(p) the canonical
+    residues are their own numerators.  Over Q image i becomes
+    Z_i = D_i·z_i, with D_i the lcm of its denominators.  The integral
+    images (D_i = 1) carry one ``_PackedMonomials``, which ``compose``
+    widens to what each polynomial needs.  Over Q with fractional images,
+    ``_compose_fractional`` forms the groups of terms over that same table.
     """
-    fractional = [i for i, D in enumerate(dens) if D > 1]
-    integral = [i for i, D in enumerate(dens) if D == 1]
-    fractional_part, integral_part = _picker(fractional), _picker(integral)
-    grouped: dict = {}
-    for exps, c, o in terms:
-        grouped.setdefault(fractional_part(exps), []).append((integral_part(exps), c, o))
-    integral_images = [images[i] for i in integral]
-    integral_orders = [orders[i] for i in integral]
-    vs = [orders[j] for j in fractional]
-    groups = []
-    for beta, group in grouped.items():
-        ob = sum(map(mul, beta, vs))
-        if ob:
-            group = [(a, c, o - ob) for a, c, o in group]
-        slots = _compose_integers(group, integral_images, integral_orders, N - ob)
-        if any(slots):
-            groups.append((beta, ob, slots))
-    if not groups:
-        return [0] * (N + 1), 1
-    m = [max(beta[k] for beta, _, _ in groups) for k in range(len(fractional))]
-    S = E = 1
-    for j, mj in zip(fractional, m):
-        S *= max(dens[j], *(abs(x) for x in images[j])) ** mj
-        E *= dens[j] ** mj
-    H = max(abs(x) for _, _, slots in groups for x in slots)
-    width = _combine_bytes(len(groups), H, S, sum(m), N)
-    bits = 8 * width
-    masks = [(1 << (bits * (N + 1 - o))) - 1 for o in range(N + 1)]
-    powers: list = [None] * len(fractional)  # powers[k][e] = (Z_j/t^(v_j))^e
-    sums = [0] * (N + 1)
-    for beta, ob, slots in groups:
-        mask = masks[ob]
-        term = _pack_signed(slots, width)
-        for k, e in enumerate(beta):
-            if e < m[k]:
-                term *= dens[fractional[k]] ** (m[k] - e)
-            if e:
-                v = vs[k]
-                chain = powers[k]
-                if chain is None:
-                    stripped = _pack_signed(images[fractional[k]][v:], width)
-                    chain = powers[k] = [1, stripped & masks[v]]
-                while len(chain) <= e:
-                    chain.append(chain[-1] * chain[1] & masks[len(chain) * v])
-                term = term * (chain[e] & mask) & mask
-        sums[ob] += term & mask
-    return _settle(sums, masks, width, N), E
+
+    def __init__(self, domain: Domain, series: Sequence[TruncatedSeries], N: int):
+        for s in series:
+            if s.domain != domain:
+                raise ValueError("series domain differs from coefficient domain")
+            if s.order_bound < N:
+                raise ValueError(f"series known only through t^{s.order_bound} < t^{N}")
+        images = [s.coeffs[: N + 1] for s in series]
+        orders = [next((k for k, x in enumerate(z) if x), N + 1) for z in images]
+        p = domain.characteristic
+        if p:  # residues are their own numerators
+            dens, top = [1] * len(images), p - 1
+        else:
+            dens = [lcm(*(x.denominator for x in z)) for z in images]
+            images = [[x.numerator * (D // x.denominator) for x in z] for z, D in zip(images, dens)]
+            # At least 1, so that A^d bounds the monomials of degree below d.
+            top = max((abs(x) for z, D in zip(images, dens) if D == 1 for x in z), default=0) or 1
+        integral = [i for i, D in enumerate(dens) if D == 1]
+        self.domain, self.N = domain, N
+        self.images, self.orders, self.dens = images, orders, dens
+        self.fractional = [i for i, D in enumerate(dens) if D > 1]
+        self.integral_part = _picker(integral)
+        self.fractional_part = _picker(self.fractional)
+        self.packed = _PackedMonomials(
+            [images[i] for i in integral], [orders[i] for i in integral], N, top
+        )
+
+    def compose(self, F: Polynomial) -> TruncatedSeries:
+        """F at the table's series, truncated at t^N.
+
+        The table is widened to ``_slot_bytes`` for F's term count T,
+        largest coefficient C, degree d and the images' largest slot A;
+        over GF(p), C = A = p − 1 with no scan.  Over Q the coefficients
+        become L·c, with L the lcm of their denominators, and the integer
+        result over L·E becomes field elements once (``over_denominator``);
+        over GF(p) each slot is reduced mod p.
+        """
+        domain, N = self.domain, self.N
+        if F.ring.domain != domain:
+            raise ValueError("series domain differs from coefficient domain")
+        if F.ring.nvars != len(self.images):
+            raise ValueError("one series per variable required")
+        if F.is_zero():
+            return series_zero(domain, N)
+        packed = self.packed
+        p = domain.characteristic
+        if p:
+            packed.reserve(_slot_bytes(len(F), p - 1, p - 1, F.degree(), N))
+            slots = packed.compose(F.terms.items(), N)
+            return TruncatedSeries(domain, tuple(x % p for x in slots))
+        L = lcm(*(c.denominator for c in F.terms.values()))
+        terms = [(exps, c.numerator * (L // c.denominator)) for exps, c in F.terms.items()]
+        if self.fractional:
+            slots, E = self._compose_fractional(terms)
+        else:
+            C = max(abs(c) for _, c in terms)
+            packed.reserve(_slot_bytes(len(terms), C, packed.top, F.degree(), N))
+            slots, E = packed.compose(terms, N), 1
+        values = over_denominator(dict(enumerate(slots)), L * E, domain)
+        return TruncatedSeries(domain, tuple(values.values()))
+
+    def _compose_fractional(self, terms: Sequence[tuple]) -> tuple:
+        """(slots, E) with slots/E the coefficients through t^N of
+        Σ c·Π_i z_i^(α_i), for ``terms`` (α, c) with integer c, where some
+        image z_j = Z_j/D_j has D_j > 1.
+
+        The terms are grouped by their exponents β on the fractional
+        images.  A group is G_β·Π_j z_j^(β_j), where G_β holds the group's
+        terms over the integral images alone, so the shared table forms it
+        at the narrow width those images need, truncated at N − o_β for
+        o_β = Σ_j β_j·v_j, the t-order of the group's fractional part.
+        With m_j the largest β_j, the groups are combined as
+        Σ_β G_β·Π_j Z_j^(β_j)·D_j^(m_j − β_j), on cached powers of the
+        stripped Z_j at the width ``_combine_bytes`` states, over
+        E = Π_j D_j^(m_j).
+        """
+        N = self.N
+        images, dens, fractional = self.images, self.dens, self.fractional
+        fractional_part, integral_part = self.fractional_part, self.integral_part
+        vs = [self.orders[j] for j in fractional]
+        grouped: dict = {}
+        for exps, c in terms:
+            grouped.setdefault(fractional_part(exps), []).append((integral_part(exps), c))
+        reaching = []
+        for beta, group in grouped.items():
+            ob = sum(map(mul, beta, vs))
+            if ob <= N:
+                reaching.append((beta, ob, group))
+        packed = self.packed
+        groups = []
+        if reaching:
+            packed.reserve(
+                max(
+                    _slot_bytes(
+                        len(group),
+                        max(abs(c) for _, c in group),
+                        packed.top,
+                        max(sum(a) for a, _ in group),
+                        N - ob,
+                    )
+                    for _, ob, group in reaching
+                )
+            )
+        for beta, ob, group in reaching:
+            slots = packed.compose(group, N - ob)
+            if any(slots):
+                groups.append((beta, ob, slots))
+        if not groups:
+            return [0] * (N + 1), 1
+        m = [max(beta[k] for beta, _, _ in groups) for k in range(len(fractional))]
+        S = E = 1
+        for j, mj in zip(fractional, m):
+            S *= max(dens[j], *(abs(x) for x in images[j])) ** mj
+            E *= dens[j] ** mj
+        H = max(abs(x) for _, _, slots in groups for x in slots)
+        width = _combine_bytes(len(groups), H, S, sum(m), N)
+        bits = 8 * width
+        masks = [(1 << (bits * (N + 1 - o))) - 1 for o in range(N + 1)]
+        powers: list = [None] * len(fractional)  # powers[k][e] = (Z_j/t^(v_j))^e
+        sums = [0] * (N + 1)
+        for beta, ob, slots in groups:
+            mask = masks[ob]
+            term = _pack_signed(slots, width)
+            for k, e in enumerate(beta):
+                if e < m[k]:
+                    term *= dens[fractional[k]] ** (m[k] - e)
+                if e:
+                    v = vs[k]
+                    chain = powers[k]
+                    if chain is None:
+                        stripped = _pack_signed(images[fractional[k]][v:], width)
+                        chain = powers[k] = [1, stripped & masks[v]]
+                    while len(chain) <= e:
+                        chain.append(chain[-1] * chain[1] & masks[len(chain) * v])
+                    term = term * (chain[e] & mask) & mask
+            sums[ob] += term & mask
+        return _settle(sums, masks, width, N), E
 
 
 def compose_series(
@@ -539,56 +669,63 @@ def compose_series(
     """F at one series per variable (in ring order), truncated at t^N.
 
     Every series must be known through t^N and share F's domain.  The
-    kernel skips every term of F whose t-order exceeds N and truncates
-    each other term at N minus its order, on integers in both fields.  With
-    L the lcm of the denominators of the coefficients of the reaching terms
-    and D_i that of image i's, the coefficients become L·c and the images
-    Z_i = D_i·z_i; over GF(p) the canonical residues are their own
-    numerators, and L = D_i = 1.  Where every D_i is 1,
-    ``_compose_integers`` composes all the terms at once.  Otherwise
-    ``_compose_fractional`` groups them by their exponents on the images
-    with D_j > 1, so each image's own denominator is cleared, and the many
-    products over the integral images stay as narrow as those images
-    allow.  The integer result over L·E becomes field elements once
-    (``over_denominator``); over GF(p) each slot is reduced mod p.
+    composition runs on a ``MonomialTable`` of its own: every term of F
+    whose t-order exceeds N is skipped, and every other term is one scalar
+    times a packed monomial truncated at N minus its order, on integers in
+    both fields.  Callers that compose several polynomials on one tuple of
+    series keep one table instead (``arc_lift``, ``SeriesAssignment``).
     """
-    domain = F.ring.domain
-    if len(series) != F.ring.nvars:
-        raise ValueError("one series per variable required")
-    for s in series:
-        if s.domain != domain:
-            raise ValueError("series domain differs from coefficient domain")
-        if s.order_bound < N:
-            raise ValueError(f"series known only through t^{s.order_bound} < t^{N}")
-    images = [s.coeffs[: N + 1] for s in series]
-    orders = [next((k for k, x in enumerate(z) if x), N + 1) for z in images]
-    terms = _reaching_terms(F.terms.items(), orders, N)
-    if domain.characteristic:  # residues are their own numerators
-        L, dens = 1, [1] * len(images)
-    else:
-        L = lcm(*(c.denominator for _, c, _ in terms))
-        terms = [(exps, c.numerator * (L // c.denominator), o) for exps, c, o in terms]
-        dens = [lcm(*(x.denominator for x in z)) for z in images]
-        images = [[x.numerator * (D // x.denominator) for x in z] for z, D in zip(images, dens)]
-    if terms and any(D > 1 for D in dens):
-        slots, E = _compose_fractional(terms, images, orders, dens, N)
-    else:
-        slots, E = _compose_integers(terms, images, orders, N), 1
-    values = over_denominator(dict(enumerate(slots)), L * E, domain)
-    return TruncatedSeries(domain, tuple(values.values()))
+    return MonomialTable(F.ring.domain, series, N).compose(F)
+
+
+class SeriesAssignment(Mapping):
+    """One series per variable name, read-only, with one ``MonomialTable``
+    per order of the variables composed on it, kept for the life of the
+    assignment.  ``poly_on_series`` composes on these tables, so the
+    polynomials composed on one assignment share their monomials."""
+
+    def __init__(self, components: Mapping[str, TruncatedSeries]):
+        self._components = dict(components)
+        self._tables: dict = {}
+
+    def __getitem__(self, name: str) -> TruncatedSeries:
+        return self._components[name]
+
+    def __iter__(self):
+        return iter(self._components)
+
+    def __len__(self) -> int:
+        return len(self._components)
+
+    def __repr__(self) -> str:
+        return f"SeriesAssignment({self._components!r})"
+
+    def compose(self, F: Polynomial) -> TruncatedSeries:
+        """F at the series of its variables, truncated at the least order
+        bound among them."""
+        variables = F.ring.variables
+        table = self._tables.get(variables)
+        if table is None:
+            series = []
+            for name in variables:
+                if name not in self._components:
+                    raise ValueError(f"no series provided for variable {name}")
+                series.append(self._components[name])
+            if not series:
+                raise ValueError("composition needs at least one variable")
+            N = min(s.order_bound for s in series)
+            table = self._tables[variables] = MonomialTable(F.ring.domain, series, N)
+        return table.compose(F)
 
 
 def poly_on_series(F: Polynomial, assignment: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
-    """Compose F with one series per variable (keyed by variable name)."""
-    ring = F.ring
-    series = []
-    for name in ring.variables:
-        if name not in assignment:
-            raise ValueError(f"no series provided for variable {name}")
-        series.append(assignment[name])
-    if not series:
-        raise ValueError("composition needs at least one variable")
-    return compose_series(F, series, min(s.order_bound for s in series))
+    """Compose F with one series per variable (keyed by variable name), at
+    the least order bound among them.  A ``SeriesAssignment`` composes on
+    the table it keeps for F's variables; any other mapping on a fresh
+    one."""
+    if not isinstance(assignment, SeriesAssignment):
+        assignment = SeriesAssignment(assignment)
+    return assignment.compose(F)
 
 
 @dataclass(frozen=True)
@@ -597,7 +734,10 @@ class Arc:
 
     ``residual_orders`` maps an equation label to a certified lower bound on
     the t-order of that equation composed with the arc; an accepted arc has
-    every residual bound at least order_bound + 1.
+    every residual bound at least order_bound + 1.  The components are kept
+    as a ``SeriesAssignment``, so every order measured along the arc
+    (``ord_along_arc``, at every hypertangent level) composes on one
+    monomial table.
     """
 
     components: Mapping[str, TruncatedSeries]
@@ -609,7 +749,7 @@ class Arc:
             raise ValueError("arc components have mismatched order bounds")
         if not self.components:
             raise ValueError("an arc needs at least one component")
-        object.__setattr__(self, "components", dict(self.components))
+        object.__setattr__(self, "components", SeriesAssignment(self.components))
         object.__setattr__(self, "residual_orders", dict(self.residual_orders))
 
     @property
@@ -678,7 +818,7 @@ def arc_lift(
     is s and the remaining variables follow ``free_values``.
 
     F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k composed
-    with the free series once by ``compose_series``; ``_newton_lift`` then
+    with the free series once, all on one ``MonomialTable``; ``_newton_lift`` then
     solves Σ_k c_k·s^k = 0 on packed ints in both fields.  Requires the
     origin to lie on {F = 0} (c_0(0) = 0) with the solved direction
     transverse (c_1(0) ≠ 0).
@@ -704,7 +844,8 @@ def arc_lift(
         while len(parts) <= k:
             parts.append({})
         parts[k][exps[:solved_var] + (0,) + exps[solved_var + 1 :]] = coeff
-    c = [compose_series(Polynomial(ring, part), images, N) for part in parts]
+    table = MonomialTable(domain, images, N)
+    c = [table.compose(Polynomial(ring, part)) for part in parts]
     if not domain.is_zero(c[0][0]):
         raise ValueError("the origin does not lie on the hypersurface")
     if domain.is_zero(c[1][0]):

@@ -626,6 +626,23 @@ class TestCampaign:
         assert record["reason"] == "lifted arc leaves a nonzero base residual"
         assert doc["summary"]["verdict"] == VERDICT_INCONCLUSIVE
 
+    def test_base_degree_one_off_branch_draws_no_arcs(self, capsys):
+        # Base degree 1 admits no hypertangent level off the branch, so the
+        # point draws no arcs and keeps its regularity verdict, where it
+        # used to end in an IndexError (exit 1).
+        code, out, err = run_cli(
+            ["campaign", "--family", "5,1,5,2", "--trials", "1",
+             "--points-off", "1", "--points-on", "0", "--seed", "7"],
+            capsys,
+        )
+        assert code in (cli.EXIT_CERTIFIED, cli.EXIT_INCONCLUSIVE)
+        assert "Traceback" not in err
+        record = json.loads(out)["records"][0]
+        assert record["branch_position"] == "off"
+        assert record["arc_order"] is None
+        assert record["order_checks"] == []
+        assert record["verdict"] == record["regularity"]["verdict"]
+
     def test_campaign_makes_no_generic_substitution(self, monkeypatch, capsys):
         # Localization, sampling and the rank certificate's linear cuts all
         # run without Polynomial.substitute, off the branch and on it.

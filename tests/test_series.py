@@ -23,6 +23,8 @@ import cycover.series as series_module
 from cycover.series import (
     Arc,
     GammaTable,
+    MonomialTable,
+    OrderResult,
     SingularDirectionError,
     TruncatedSeries,
     arc_lift,
@@ -39,11 +41,10 @@ from cycover.series import (
 from cycover.series import (
     _balanced,
     _combine_bytes,
-    _compose_integers,
     _horner_chains,
     _newton_bytes,
     _pack_signed,
-    _reaching_terms,
+    _PackedMonomials,
     _slot_bytes,
     _unpack_signed,
 )
@@ -552,9 +553,13 @@ def _orders(images, N):
 
 
 def _kernel(terms, images, N):
-    """``_compose_integers`` on (α, c) terms over the integers."""
-    orders = _orders(images, N)
-    return _compose_integers(_reaching_terms(terms, orders, N), images, orders, N)
+    """The packed kernel on (α, c) terms over the integers, at the width
+    ``_slot_bytes`` states for their count, largest coefficient and degree
+    and the images' largest slot."""
+    table = _PackedMonomials(images, _orders(images, N), N, max(abs(x) for z in images for x in z))
+    C = max(abs(c) for _, c in terms)
+    table.reserve(_slot_bytes(len(terms), C, table.top, max(sum(e) for e, _ in terms), N))
+    return table.compose(terms, N)
 
 
 def _tight_order(T, C, A, d):
@@ -781,6 +786,125 @@ def test_off_branch_composition_stays_as_narrow_as_its_integral_images(monkeypat
     )
     assert widths and max(widths) <= integral_only
     assert composed == compose_by_power_caching(Fpoly, images, N)
+
+
+SHARED_DOMAINS = [PrimeField(2), PrimeField(1_000_003), PrimeField(2**61 - 1), QQ]
+NAMES4 = ("a", "b", "c", "d")
+
+
+def _shared_images(data, domain, N):
+    """a of t-order 0, as in the samplers' line and plane restrictions; b
+    zero, as ``arc_lift``'s solved slot; c of order 1 and d of a random
+    order up to N.  Over Q, c and d are fractional."""
+    def tail(count, fractional):
+        if fractional:
+            den = data.draw(DENOMINATORS)
+            numerators = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=count, max_size=count))
+            return [F(x, den) for x in numerators]
+        return data.draw(st.lists(_elements(domain), min_size=count, max_size=count))
+
+    fractional = domain == QQ
+    v = data.draw(st.integers(1, N))
+    nonzero = _elements(domain).filter(lambda x: not domain.is_zero(domain.of(x)))
+    return [
+        _series(domain, [data.draw(nonzero)] + tail(N, False)),
+        series_zero(domain, N),
+        _series(domain, [0] + tail(N, fractional)),
+        _series(domain, [0] * v + tail(N + 1 - v, fractional)),
+    ]
+
+
+def _dense_and_sparse(data, ring):
+    """Every monomial of degree at most 3, among them terms past N and on
+    the zero image; and a few terms of degree at most 2."""
+    domain = ring.domain
+    coefficient = _elements(domain).map(domain.of)
+    dense = Polynomial(
+        ring,
+        {e: data.draw(coefficient) for d in range(4) for e in monomials_of_degree(ring, d)},
+    )
+    exps = st.sampled_from([e for d in range(3) for e in monomials_of_degree(ring, d)])
+    sparse = Polynomial(
+        ring, {e: domain.of(c) for e, c in data.draw(
+            st.dictionaries(exps, _elements(domain), min_size=1, max_size=3)
+        ).items()}
+    )
+    return dense, sparse
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_table_matches_power_caching_oracle(data):
+    # Several polynomials on one table, in both orders: dense then sparse,
+    # and sparse then dense, which widens and repacks the table.  The zero
+    # polynomial is composed between them.
+    domain = data.draw(st.sampled_from(SHARED_DOMAINS))
+    ring = ring_over(NAMES4, domain)
+    N = data.draw(st.integers(1, 6))
+    images = _shared_images(data, domain, N)
+    dense, sparse = _dense_and_sparse(data, ring)
+    for order in ([dense, ring.zero(), sparse], [sparse, ring.zero(), dense, sparse]):
+        table = MonomialTable(domain, images, N)
+        for Fpoly in order:
+            assert table.compose(Fpoly) == compose_by_power_caching(Fpoly, images, N)
+
+
+@pytest.mark.parametrize("domain", SHARED_DOMAINS, ids=str)
+def test_shared_table_repacks_for_a_wider_polynomial(domain):
+    # A sparse polynomial sets a narrow width; the dense one after it needs
+    # a wider one, so the table is repacked, and the sparse one composes
+    # again on the wider table.
+    N = 5
+    ring = ring_over(NAMES4, domain)
+    a, b, c, d = ring.gens()
+    half = F(1, 2) if domain == QQ else 1
+    images = [
+        _series(domain, [3, 1, 4, 1, 5, 9]),
+        series_zero(domain, N),
+        _series(domain, [0, half, -2, 7, 1, 8]),
+        _series(domain, [0, 0, 2, -1, half, 3]),
+    ]
+    sparse = a * c + ring.const(5)
+    dense = Polynomial(
+        ring,
+        {e: domain.of(1 + sum(e)) for k in range(5) for e in monomials_of_degree(ring, k)},
+    )
+    table = MonomialTable(domain, images, N)
+    assert table.compose(sparse) == compose_by_power_caching(sparse, images, N)
+    narrow = table.packed.width
+    assert table.compose(dense) == compose_by_power_caching(dense, images, N)
+    assert table.packed.width > narrow
+    assert table.compose(sparse) == compose_by_power_caching(sparse, images, N)
+    assert table.compose(b * dense).is_zero()
+
+
+def test_arc_composes_every_order_on_one_table(monkeypatch):
+    # Every polynomial composed along one arc shares one table; a plain
+    # mapping composes on a fresh one.
+    built = []
+    init = MonomialTable.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(MonomialTable, "__init__", counting)
+    ring = ring_over(NAMES3, GF101)
+    a, b, c = ring.gens()
+    components = {
+        "a": _series(GF101, [0, 1, 2, 3, 4]),
+        "b": _series(GF101, [0, 5, 0, 6, 1]),
+        "c": _series(GF101, [1, 7, 1, 0, 2]),
+    }
+    arc = Arc(components)
+    members = [a + b, a * b - c * a, a**2 * b + b**3 * c]
+    orders = [ord_along_arc(member, arc) for member in members]
+    assert len(built) == 1
+    for member, order in zip(members, orders):
+        expected = poly_on_series_by_terms(member, components)
+        assert order == OrderResult.exactly(expected.order())
+    poly_on_series(members[0], components)
+    assert len(built) == 2
 
 
 @settings(max_examples=80, deadline=None)
