@@ -31,8 +31,9 @@ each image's own denominator is cleared
 (``MonomialTable._compose_fractional``): the terms are grouped by their
 exponents on the images with denominators, each group is composed on the
 table of the integral images at their narrow width, and the groups are
-combined at the width ``_combine_bytes`` states.  On an off-branch arc only the lifted image has denominators, so
-nearly all the work stays a few bytes wide.
+combined at the width ``_combine_bytes`` states.  On an off-branch arc
+only the lifted image has denominators, so nearly all the work stays a
+few bytes wide.
 
 Newton lifting (``_newton_lift``, behind ``arc_lift`` and
 ``series_kth_root``) runs one packed kernel in both fields too: its Horner
@@ -817,11 +818,11 @@ def arc_lift(
     """Series s(t) with s(0) = 0 solving F = 0 when variable ``solved_var``
     is s and the remaining variables follow ``free_values``.
 
-    F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k composed
-    with the free series once, all on one ``MonomialTable``; ``_newton_lift`` then
-    solves Σ_k c_k·s^k = 0 on packed ints in both fields.  Requires the
-    origin to lie on {F = 0} (c_0(0) = 0) with the solved direction
-    transverse (c_1(0) ≠ 0).
+    F is split by the exponent of s into F = Σ_k c_k(t)·s^k, each c_k
+    composed with the free series once, all on one ``MonomialTable``;
+    ``_newton_lift`` then solves Σ_k c_k·s^k = 0 on packed ints in both
+    fields.  Requires the origin to lie on {F = 0} (c_0(0) = 0) with the
+    solved direction transverse (c_1(0) ≠ 0).
     """
     ring = F.ring
     domain = ring.domain
