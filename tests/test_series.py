@@ -795,17 +795,19 @@ NAMES4 = ("a", "b", "c", "d")
 def _shared_images(data, domain, N):
     """a of t-order 0, as in the samplers' line and plane restrictions; b
     zero, as ``arc_lift``'s solved slot; c of order 1 and d of a random
-    order up to N.  Over Q, c and d are fractional."""
+    order up to N.  Over Q, a is integral and c and d are fractional."""
+    fractional = domain == QQ
+    plain = INTEGRAL if fractional else _elements(domain)
+
     def tail(count, fractional):
         if fractional:
             den = data.draw(DENOMINATORS)
-            numerators = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=count, max_size=count))
-            return [F(x, den) for x in numerators]
-        return data.draw(st.lists(_elements(domain), min_size=count, max_size=count))
+            numerators = st.lists(st.integers(-10**6, 10**6), min_size=count, max_size=count)
+            return [F(x, den) for x in data.draw(numerators)]
+        return data.draw(st.lists(plain, min_size=count, max_size=count))
 
-    fractional = domain == QQ
     v = data.draw(st.integers(1, N))
-    nonzero = _elements(domain).filter(lambda x: not domain.is_zero(domain.of(x)))
+    nonzero = plain.filter(lambda x: not domain.is_zero(domain.of(x)))
     return [
         _series(domain, [data.draw(nonzero)] + tail(N, False)),
         series_zero(domain, N),
