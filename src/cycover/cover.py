@@ -58,8 +58,8 @@ from .seeds import (
 )
 from .series import (
     Arc,
+    MonomialTable,
     OrderResult,
-    SeriesAssignment,
     TruncatedSeries,
     arc_lift,
     compose_series,
@@ -462,10 +462,6 @@ class RegularityCase:
             if member.ring != self.chart.ring:
                 raise ValueError("sequence members must live in the chart ring")
 
-    @property
-    def ring(self) -> PolyRing:
-        return self.chart.ring
-
 
 def regularity_sequence(chart: ChartLocalization) -> RegularityCase:
     """The regularity sequence attached to a smooth chart point.
@@ -694,17 +690,19 @@ def _arc_off_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
     fam = chart.family
     solved = _solved_variable(chart.base_piece(1))
     rng = Rng(derive_seed(seed, purpose=PURPOSE_ARC))
-    # One assignment, so the recheck below composes on the branch's table.
-    components = SeriesAssignment(_arc_components(chart, solved, rng, N))
-    composed_branch = poly_on_series(chart.localized_branch, components)
+    components = _arc_components(chart, solved, rng, N)
+    # One table, in chart variable order, so the base-residual recheck
+    # composes on the monomials the branch form formed.
+    table = MonomialTable(chart.domain, list(components.values()), N)
+    composed_branch = table.compose(chart.localized_branch)
     y = series_kth_root(composed_branch, fam.cover_degree)
-    base_residual = poly_on_series(chart.localized_base, components)
+    base_residual = table.compose(chart.localized_base)
     if base_residual.order() is not None:
         raise ArithmeticError("lifted arc leaves a nonzero base residual")
     cover_residual = y.pow_int(fam.cover_degree) - composed_branch
     if cover_residual.order() is not None:
         raise ArithmeticError("cover component leaves a nonzero branch residual")
-    return Arc({**components, COVER_VARIABLE: y}, {"base": N + 1, "cover": N + 1})
+    return Arc({**components, COVER_VARIABLE: y})
 
 
 def _in_t(s: TruncatedSeries, K: int, N: int, shift: int = 0) -> TruncatedSeries:
@@ -775,7 +773,7 @@ def _arc_on_branch(chart: ChartLocalization, seed: int, N: int) -> Arc:
             )
         in_t = {name: _in_t(s, K, N) for name, s in components.items()}
         in_t[COVER_VARIABLE] = y
-        return Arc(in_t, {"base": N + 1, "cover": N + 1})
+        return Arc(in_t)
     raise SampleBudgetError(
         "no cover-compatible arc found in 64 attempts (the branch order "
         "along every arc shared a factor with the cover degree)"
@@ -834,12 +832,6 @@ class MultiplicityReport:
     @property
     def unresolved_count(self) -> int:
         return sum(1 for r in self.records if r.status == CHECK_UNRESOLVED)
-
-    def describe(self) -> str:
-        return (
-            f"{self.label}: {self.pass_count} pass, {self.fail_count} fail, "
-            f"{self.unresolved_count} unresolved (threshold {self.threshold})"
-        )
 
 
 def _order_records(

@@ -386,11 +386,6 @@ class RegularityVerdict:
     def certified(self) -> bool:
         return self.outcome == CERTIFIED_REGULAR
 
-    def describe(self) -> str:
-        if self.outcome == REFUTED_AT_PREFIX:
-            return f"{self.outcome}({self.refuted_prefix})"
-        return self.outcome
-
 
 def random_linear_cuts(ring: PolyRing, count: int, seed: int) -> list:
     """Deterministic random linear forms through the origin (none zero)."""

@@ -20,11 +20,10 @@ The kernel is a monomial table per tuple of images (``MonomialTable``,
 over ``_PackedMonomials``).  It strips each image's t-order and forms each
 monomial some polynomial reaches once, as its parent times one stripped
 image, truncated at N minus the monomial's t-order; monomials past t^N are
-skipped.  A term then costs one scalar product and one add.  Every caller
+skipped.  A term then costs one scalar product and one add.  A caller
 that composes several polynomials on one tuple keeps one table:
-``arc_lift`` across its parts, and a ``SeriesAssignment``, such as an
-``Arc``'s components, across every ``poly_on_series`` on it.  Slots are
-signed; over GF(p) they hold canonical residues and are reduced mod p
+``arc_lift`` across its parts, and ``cover._arc_off_branch`` across the
+branch form and the base-residual recheck.  Slots are signed; over GF(p) they hold canonical residues and are reduced mod p
 once, when unpacked.  ``_slot_bytes`` states the width that keeps every
 slot exact, and a table is repacked when a wider polynomial comes.  Over Q
 each image's own denominator is cleared
@@ -44,11 +43,12 @@ the residual and the slope are unpacked, once per step.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .poly import (
@@ -674,75 +674,30 @@ def compose_series(
     whose t-order exceeds N is skipped, and every other term is one scalar
     times a packed monomial truncated at N minus its order, on integers in
     both fields.  Callers that compose several polynomials on one tuple of
-    series keep one table instead (``arc_lift``, ``SeriesAssignment``).
+    series keep one table instead (``arc_lift``, ``cover._arc_off_branch``).
     """
     return MonomialTable(F.ring.domain, series, N).compose(F)
 
 
-class SeriesAssignment(Mapping):
-    """One series per variable name, read-only, with one ``MonomialTable``
-    per order of the variables composed on it, kept for the life of the
-    assignment.  ``poly_on_series`` composes on these tables, so the
-    polynomials composed on one assignment share their monomials."""
-
-    def __init__(self, components: Mapping[str, TruncatedSeries]):
-        self._components = dict(components)
-        self._tables: dict = {}
-
-    def __getitem__(self, name: str) -> TruncatedSeries:
-        return self._components[name]
-
-    def __iter__(self):
-        return iter(self._components)
-
-    def __len__(self) -> int:
-        return len(self._components)
-
-    def __repr__(self) -> str:
-        return f"SeriesAssignment({self._components!r})"
-
-    def compose(self, F: Polynomial) -> TruncatedSeries:
-        """F at the series of its variables, truncated at the least order
-        bound among them."""
-        variables = F.ring.variables
-        table = self._tables.get(variables)
-        if table is None:
-            series = []
-            for name in variables:
-                if name not in self._components:
-                    raise ValueError(f"no series provided for variable {name}")
-                series.append(self._components[name])
-            if not series:
-                raise ValueError("composition needs at least one variable")
-            N = min(s.order_bound for s in series)
-            table = self._tables[variables] = MonomialTable(F.ring.domain, series, N)
-        return table.compose(F)
-
-
 def poly_on_series(F: Polynomial, assignment: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """Compose F with one series per variable (keyed by variable name), at
-    the least order bound among them.  A ``SeriesAssignment`` composes on
-    the table it keeps for F's variables; any other mapping on a fresh
-    one."""
-    if not isinstance(assignment, SeriesAssignment):
-        assignment = SeriesAssignment(assignment)
-    return assignment.compose(F)
+    the least order bound among them."""
+    series = []
+    for name in F.ring.variables:
+        if name not in assignment:
+            raise ValueError(f"no series provided for variable {name}")
+        series.append(assignment[name])
+    if not series:
+        raise ValueError("composition needs at least one variable")
+    return compose_series(F, series, min(s.order_bound for s in series))
 
 
 @dataclass(frozen=True)
 class Arc:
-    """A formal curve: one series per variable plus certified residual orders.
-
-    ``residual_orders`` maps an equation label to a certified lower bound on
-    the t-order of that equation composed with the arc; an accepted arc has
-    every residual bound at least order_bound + 1.  The components are kept
-    as a ``SeriesAssignment``, so every order measured along the arc
-    (``ord_along_arc``, at every hypertangent level) composes on one
-    monomial table.
-    """
+    """A formal curve: one series per variable, all truncated at one order
+    bound, held read-only."""
 
     components: Mapping[str, TruncatedSeries]
-    residual_orders: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         bounds = {s.order_bound for s in self.components.values()}
@@ -750,8 +705,7 @@ class Arc:
             raise ValueError("arc components have mismatched order bounds")
         if not self.components:
             raise ValueError("an arc needs at least one component")
-        object.__setattr__(self, "components", SeriesAssignment(self.components))
-        object.__setattr__(self, "residual_orders", dict(self.residual_orders))
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
 
     @property
     def order_bound(self) -> int:

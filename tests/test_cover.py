@@ -554,10 +554,6 @@ class TestArcs:
         assert gcd(shifts[-1], K) == 1
         _check_on_branch_arc(chart, arc)
 
-    def test_residual_orders_recorded(self, off_chart):
-        arc = arc_through_chart_origin(off_chart, seed=100, order_bound=6)
-        assert arc.residual_orders == {"base": 7, "cover": 7}
-
     def test_rejects_tiny_order_bound(self, off_chart):
         with pytest.raises(ValueError):
             arc_through_chart_origin(off_chart, seed=1, order_bound=1)

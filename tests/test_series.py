@@ -10,6 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycover.cover import (
+    admissible_hypertangent_levels,
+    arc_through_chart_origin,
+    default_arc_order,
+    default_prime,
+    hypertangent_member,
+    localize,
+    random_instance,
+    sample_point_off_branch,
+)
+from cycover.family import validate_family
 from cycover.poly import (
     Polynomial,
     PrimeField,
@@ -880,33 +891,36 @@ def test_shared_table_repacks_for_a_wider_polynomial(domain):
     assert table.compose(b * dense).is_zero()
 
 
-def test_arc_composes_every_order_on_one_table(monkeypatch):
-    # Every polynomial composed along one arc shares one table; a plain
-    # mapping composes on a fresh one.
+def test_off_branch_arc_shares_one_table_for_branch_and_base(monkeypatch):
+    # An off-branch arc builds two tables: arc_lift's, over the free
+    # series, and one over the chart components, in chart variable order,
+    # that the branch form and the base-residual recheck share.  Every
+    # order measured along the arc matches the term-by-term oracle.
+    family = validate_family(5, 4, 2, 2)
+    instance = random_instance(family, seed=42, domain=PrimeField(default_prime(family)))
+    chart = localize(instance, sample_point_off_branch(instance, seed=7))
+    levels = admissible_hypertangent_levels(family)
     built = []
     init = MonomialTable.__init__
 
     def counting(self, *args):
-        built.append(self)
+        built.append(args)
         init(self, *args)
 
     monkeypatch.setattr(MonomialTable, "__init__", counting)
-    ring = ring_over(NAMES3, GF101)
-    a, b, c = ring.gens()
-    components = {
-        "a": _series(GF101, [0, 1, 2, 3, 4]),
-        "b": _series(GF101, [0, 5, 0, 6, 1]),
-        "c": _series(GF101, [1, 7, 1, 0, 2]),
-    }
-    arc = Arc(components)
-    members = [a + b, a * b - c * a, a**2 * b + b**3 * c]
-    orders = [ord_along_arc(member, arc) for member in members]
-    assert len(built) == 1
-    for member, order in zip(members, orders):
-        expected = poly_on_series_by_terms(member, components)
-        assert order == OrderResult.exactly(expected.order())
-    poly_on_series(members[0], components)
+    arc = arc_through_chart_origin(chart, seed=100, order_bound=default_arc_order(levels[-1]))
+    monkeypatch.undo()
     assert len(built) == 2
+    assert list(built[1][1]) == [arc.components[name] for name in chart.ring.variables]
+    with pytest.raises(TypeError):
+        arc.components["y"] = series_zero(chart.domain, arc.order_bound)
+    members = [hypertangent_member(chart, level, seed=level).polynomial for level in levels]
+    for member in members + [chart.localized_branch]:
+        expected = poly_on_series_by_terms(member, arc.components).order()
+        if expected is None:
+            assert ord_along_arc(member, arc) == OrderResult.at_least(arc.order_bound + 1)
+        else:
+            assert ord_along_arc(member, arc) == OrderResult.exactly(expected)
 
 
 @settings(max_examples=80, deadline=None)
