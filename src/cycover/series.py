@@ -23,9 +23,10 @@ image, truncated at N minus the monomial's t-order; monomials past t^N are
 skipped.  A term then costs one scalar product and one add.  A caller
 that composes several polynomials on one tuple keeps one table:
 ``arc_lift`` across its parts, and ``cover._arc_off_branch`` across the
-branch form and the base-residual recheck.  Slots are signed; over GF(p) they hold canonical residues and are reduced mod p
-once, when unpacked.  ``_slot_bytes`` states the width that keeps every
-slot exact, and a table is repacked when a wider polynomial comes.  Over Q
+branch form and the base-residual recheck.  Slots are signed; over GF(p)
+they hold canonical residues and are reduced mod p once, when unpacked.
+``_slot_bytes`` states the width that keeps every slot exact, and a table
+is repacked when a wider polynomial comes.  Over Q
 each image's own denominator is cleared
 (``MonomialTable._compose_fractional``): the terms are grouped by their
 exponents on the images with denominators, each group is composed on the
